@@ -1,9 +1,11 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numerical kernels.
 
-Set SEMICLAB_NO_NUMBA=1 to force the numpy implementations (results are
-identical up to floating-point roundoff; see benchmarks/bench_kernels.py
-for the speed comparison). Each kernel exposes _np / _nb variants for
-direct testing; the public names dispatch on the flag at call time.
+Bowen-ball masses and Husimi grids have a numba fast path and a pure-numpy
+fallback. Set SEMICLAB_NO_NUMBA=1 to force the numpy implementations
+(results are identical up to floating-point roundoff). Each of these two
+exposes _np / _nb variants for direct testing; the public names dispatch on
+the flag at call time. The batched L4 moment sums have one numpy
+implementation, O(s) per state.
 """
 
 import math
@@ -81,50 +83,36 @@ def bowen_masses(orbits, weights, base_idx, eps):
 
 # ------------------------------------------------- batched L4 moment sums
 
-def l4_moment_sums_np(C, i_idx, j_idx, starts):
-    """For each state row of C: sum over difference-groups of |sum c_i conj(c_j)|^2.
+def l4_moment_sums(C):
+    """For each state row of C: sum over difference vectors p of |M(p)|^2.
 
-    (i_idx, j_idx) enumerate all shell index pairs sorted so that pairs with
-    equal difference vector are contiguous; starts marks group boundaries.
+    M(p) = sum_{k - k' = p} c_k conj(c_k') is the p-th Fourier coefficient of
+    |psi|^2, so the result times (2pi)^2 is the integral of |psi|^4 over T^2.
+    C is (states, s), with columns aligned to a lexicographically sorted 2-D
+    shell, on which -k sits at the reversed index s - 1 - i.
+
+    The sum runs over quadruples with k1 + k4 = k2 + k3: pairs of chords of
+    the circle |k|^2 = m with the same midpoint. Such chords are the same
+    chord or are both diameters (Zygmund, Studia Math. 50, 1974), so with
+    X = sum |c_k|^2, Y = sum c_k c_{-k}, Z = sum |c_k|^2 |c_{-k}|^2 and
+    F = sum |c_k|^4, inclusion-exclusion gives
+
+        sum_p |M(p)|^2 = 2 X^2 - F + |Y|^2 - 2 Z  (+ |c_0|^4 on the shell m = 0).
+
+    |Y| <= X and F, Z >= 0 bound this by 3 X^2, which is where the L4 bound
+    3 / (2pi)^2 for normalized states comes from. The identity needs n = 2.
     """
-    P = C[:, i_idx] * C[:, j_idx].conj()
-    moments = np.add.reduceat(P, starts, axis=1)
-    return (np.abs(moments) ** 2).sum(axis=1)
-
-
-if USE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _l4_moment_sums_jit(C, i_idx, j_idx, starts):
-        B = C.shape[0]
-        npairs = i_idx.shape[0]
-        G = starts.shape[0]
-        out = np.zeros(B)
-        for b in prange(B):
-            acc = 0.0
-            for g in range(G):
-                lo = starts[g]
-                hi = npairs if g == G - 1 else starts[g + 1]
-                mom = 0.0 + 0.0j
-                for q in range(lo, hi):
-                    mom += C[b, i_idx[q]] * np.conj(C[b, j_idx[q]])
-                acc += mom.real * mom.real + mom.imag * mom.imag
-            out[b] = acc
-        return out
-
-    def l4_moment_sums_nb(C, i_idx, j_idx, starts):
-        return _l4_moment_sums_jit(
-            np.ascontiguousarray(C),
-            np.ascontiguousarray(i_idx, dtype=np.int64),
-            np.ascontiguousarray(j_idx, dtype=np.int64),
-            np.ascontiguousarray(starts, dtype=np.int64),
-        )
-
-
-def l4_moment_sums(C, i_idx, j_idx, starts):
-    if USE_NUMBA:
-        return l4_moment_sums_nb(C, i_idx, j_idx, starts)
-    return l4_moment_sums_np(C, i_idx, j_idx, starts)
+    A = np.abs(C) ** 2
+    X = A.sum(axis=1)
+    Y = (C * C[:, ::-1]).sum(axis=1)
+    Z = (A * A[:, ::-1]).sum(axis=1)
+    F = (A**2).sum(axis=1)
+    out = 2.0 * X**2 - F + np.abs(Y) ** 2 - 2.0 * Z
+    s = C.shape[1]
+    if s % 2:
+        # k = -k only for the zero vector: add back the triple overlap
+        out += A[:, s // 2] ** 2
+    return out
 
 
 # ------------------------------------------------------------- Husimi grids

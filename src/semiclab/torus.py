@@ -125,40 +125,24 @@ def density_moment(psi, p):
     return complex(total)
 
 
-def _pair_groups(shell):
-    # all index pairs (i, j) grouped by the difference vector V[i] - V[j];
-    # within a group, sum c_i conj(c_j) = density_moment(difference)
-    V = np.asarray(shell.vectors, dtype=np.int64)
-    s = len(V)
-    diffs = (V[:, None, :] - V[None, :, :]).reshape(s * s, V.shape[1])
-    order = np.lexsort(tuple(diffs[:, col] for col in range(V.shape[1] - 1, -1, -1)))
-    sortd = diffs[order]
-    starts = np.flatnonzero(np.any(np.diff(sortd, axis=0), axis=1)) + 1
-    starts = np.concatenate([[0], starts]).astype(np.int64)
-    i_idx, j_idx = np.divmod(order, s)
-    return i_idx.astype(np.int64), j_idx.astype(np.int64), starts
-
-
 def exact_l4(psi):
     """Exact integral of |psi|^4 over T^2 via Plancherel on density moments."""
     if psi.dimension != 2:
         raise NumericalSignal("unsupported-dimension", "exact_l4 needs n = 2")
-    i_idx, j_idx, starts = _pair_groups(psi.shell)
-    c = psi.amplitudes[None, :]
-    val = _kernels.l4_moment_sums_np(c, i_idx, j_idx, starts)[0]
-    return TWO_PI**2 * float(val)
+    return TWO_PI**2 * float(_kernels.l4_moment_sums(psi.amplitudes[None, :])[0])
 
 
 def l4_batch(shell, n_states, seed):
     """exact_l4 for n_states seeded random eigenfunctions on one shell."""
+    if shell.dimension != 2:
+        raise NumericalSignal("unsupported-dimension", "l4_batch needs n = 2")
     if len(shell) == 0:
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
-    i_idx, j_idx, starts = _pair_groups(shell)
     rng = np.random.default_rng(seed)
     s = len(shell)
     C = rng.standard_normal((n_states, s)) + 1j * rng.standard_normal((n_states, s))
     C /= TWO_PI * np.linalg.norm(C, axis=1, keepdims=True)
-    return TWO_PI**2 * _kernels.l4_moment_sums(C, i_idx, j_idx, starts)
+    return TWO_PI**2 * _kernels.l4_moment_sums(C)
 
 
 def _eval_profile(prof, mid, hbar):

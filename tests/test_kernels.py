@@ -1,4 +1,4 @@
-"""Fast-path / fallback agreement for the hot kernels."""
+"""Hot kernels against slow direct references, and the numba fallback flag."""
 
 import json
 import os
@@ -20,15 +20,6 @@ def _bowen_inputs():
     orbits = dynamics._orbit_array(mu.points, A, 6)
     base_idx = np.arange(32, dtype=np.int64)
     return orbits, mu.weights, base_idx, 0.08
-
-
-def _l4_inputs():
-    shell = lattice.enumerate_shell(25, 2)
-    i_idx, j_idx, starts = torus._pair_groups(shell)
-    rng = np.random.default_rng(12)
-    C = rng.standard_normal((5, len(shell))) + 1j * rng.standard_normal((5, len(shell)))
-    C /= 2.0 * np.pi * np.linalg.norm(C, axis=1, keepdims=True)
-    return C, i_idx, j_idx, starts
 
 
 def test_bowen_masses_numpy_against_brute_force():
@@ -62,27 +53,41 @@ def test_bowen_masses_variants_agree():
     assert np.abs(a - b).max() < 1e-13
 
 
-def test_l4_moment_sums_numpy_against_direct():
-    C, i_idx, j_idx, starts = _l4_inputs()
-    got = _kernels.l4_moment_sums_np(C, i_idx, j_idx, starts)
-    shell = lattice.enumerate_shell(25, 2)
-    V = np.asarray(shell.vectors)
-    for b in range(3):
-        moments = {}
-        for i in range(len(V)):
-            for j in range(len(V)):
-                key = tuple(V[i] - V[j])
-                moments[key] = moments.get(key, 0.0) + C[b, i] * np.conj(C[b, j])
-        direct = sum(abs(v) ** 2 for v in moments.values())
-        assert abs(got[b] - direct) < 1e-14
+def _l4_states(shell, seed):
+    # random states, one real psi (c_{-k} = conj c_k) and one on a diameter
+    s = len(shell)
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((4, s)) + 1j * rng.standard_normal((4, s))
+    C[2] = (C[2] + C[2, ::-1].conj()) / 2
+    C[3] = 0.0
+    C[3, 0], C[3, -1] = 0.6 - 0.3j, 0.2 + 0.5j
+    return C / (2.0 * np.pi * np.linalg.norm(C, axis=1, keepdims=True))
 
 
-@needs_numba
-def test_l4_moment_sums_variants_agree():
-    C, i_idx, j_idx, starts = _l4_inputs()
-    a = _kernels.l4_moment_sums_np(C, i_idx, j_idx, starts)
-    b = _kernels.l4_moment_sums_nb(C, i_idx, j_idx, starts)
-    assert np.abs(a - b).max() < 1e-14
+def test_l4_moment_sums_against_density_moments():
+    # slow reference: sum of |density_moment(p)|^2 over every difference p
+    for m in (1, 2, 25, 325, 5525):
+        shell = lattice.enumerate_shell(m, 2)
+        V = np.asarray(shell.vectors)
+        diffs = {tuple(d) for d in (V[:, None, :] - V[None, :, :]).reshape(-1, 2)}
+        C = _l4_states(shell, m)
+        got = _kernels.l4_moment_sums(C)
+        X = (np.abs(C) ** 2).sum(axis=1)
+        for b in range(len(C)):
+            psi = torus.TorusEigenfunction(shell, C[b])
+            direct = sum(abs(torus.density_moment(psi, p)) ** 2 for p in diffs)
+            assert abs(got[b] - direct) <= 1e-14 * direct, (m, b)
+            assert got[b] <= 3.0 * X[b] ** 2
+        assert abs((C[2] * C[2, ::-1]).sum()) == pytest.approx(X[2], rel=1e-14)
+        # a diameter: psi = a e^{ikx} + b e^{-ikx} has sum |M(p)|^2 = X^2 + 2|ab|^2
+        a2, b2 = abs(C[3, 0]) ** 2, abs(C[3, -1]) ** 2
+        assert got[3] == pytest.approx(X[3] ** 2 + 2 * a2 * b2, rel=1e-14)
+
+
+def test_l4_moment_sums_zero_shell():
+    # on m = 0 the only vector is k = 0 = -k, and |psi|^4 is constant
+    c = np.array([[0.3 - 0.4j]])
+    assert _kernels.l4_moment_sums(c)[0] == pytest.approx(0.25**2, rel=1e-15)
 
 
 def test_husimi_grid_numpy_against_coherent_bank():
@@ -112,19 +117,16 @@ def test_fallback_flag_subprocess(tmp_path):
     script = r"""
 import json
 import numpy as np
-from semiclab import _kernels, catmap, dynamics, lattice, torus
+from semiclab import _kernels, catmap, dynamics
 
 A = catmap.CatMap(2, 1, 1, 1)
 mu = dynamics.uniform_measure(400, 5)
 orbits = dynamics._orbit_array(mu.points, A, 6)
 bowen = _kernels.bowen_masses(orbits, mu.weights, np.arange(32), 0.08)
 
-shell = lattice.enumerate_shell(25, 2)
-i_idx, j_idx, starts = torus._pair_groups(shell)
 rng = np.random.default_rng(12)
-C = rng.standard_normal((5, len(shell))) + 1j * rng.standard_normal((5, len(shell)))
-C /= 2.0 * np.pi * np.linalg.norm(C, axis=1, keepdims=True)
-l4 = _kernels.l4_moment_sums(C, i_idx, j_idx, starts)
+C = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+l4 = _kernels.l4_moment_sums(C)
 
 H = _kernels.husimi_grid(catmap.coherent_state(60, 0.25, 0.5).amplitudes, 8)
 print(json.dumps({
@@ -145,8 +147,9 @@ print(json.dumps({
     orbits, weights, base_idx, eps = _bowen_inputs()
     bowen = _kernels.bowen_masses(orbits, weights, base_idx, eps)
     assert np.abs(np.array(out["bowen"]) - bowen).max() < 1e-13
-    C, i_idx, j_idx, starts = _l4_inputs()
-    l4 = _kernels.l4_moment_sums(C, i_idx, j_idx, starts)
+    rng = np.random.default_rng(12)
+    C = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    l4 = _kernels.l4_moment_sums(C)
     assert np.abs(np.array(out["l4"]) - l4).max() < 1e-14
     H = _kernels.husimi_grid(catmap.coherent_state(60, 0.25, 0.5).amplitudes, 8)
     assert np.abs(np.array(out["husimi"]) - H.ravel()).max() < 1e-10

@@ -43,6 +43,13 @@ def test_enumerate_shell_sorted_and_indexable():
         assert idx[v] == i
 
 
+def test_enumerate_shell_2d_negation_reverses_order():
+    # the L4 kernel finds -k at the reversed index of a sorted 2-D shell
+    for m in range(2001):
+        V = np.asarray(lattice.enumerate_shell(m, 2).vectors, dtype=np.int64).reshape(-1, 2)
+        assert np.array_equal(V[::-1], -V), m
+
+
 def test_enumerate_shell_validation():
     with pytest.raises(ValueError):
         lattice.enumerate_shell(-1, 2)

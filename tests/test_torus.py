@@ -96,6 +96,8 @@ def test_exact_l4_dimension_guard():
     psi = torus.TorusEigenfunction(shell3, c)
     with pytest.raises(NumericalSignal, match="unsupported-dimension"):
         torus.exact_l4(psi)
+    with pytest.raises(NumericalSignal, match="unsupported-dimension"):
+        torus.l4_batch(shell3, 2, seed=0)
 
 
 def test_wigner_constant_and_momentum():
