@@ -226,7 +226,7 @@ def coherent_state(N, x0, xi0, squeeze=1.0):
 def _coherent_array(N, x0, xi0, squeeze=1.0):
     j = np.arange(N)
     u = j / N - x0
-    W = int(math.ceil(math.sqrt(40.0 / (math.pi * N * squeeze)))) + 2
+    W = _kernels._theta_width(N, squeeze)
     psi = np.zeros(N, dtype=complex)
     for w in range(-W, W + 1):
         v = u - w
@@ -338,6 +338,8 @@ def husimi(s, grid, squeeze=1.0):
     of cell centers, normalized so that sum / G^2 = 1."""
     if grid < 8:
         raise ValueError("need grid >= 8")
+    if squeeze <= 0:
+        raise ValueError("need squeeze > 0")
     return _kernels.husimi_grid(np.asarray(s.amplitudes, complex), grid, squeeze)
 
 

@@ -169,6 +169,9 @@ def test_husimi_normalization_and_ball_mass():
     assert catmap.mass_in_ball(H, (0.8, 0.2), 0.1) < 1e-6
     with pytest.raises(ValueError):
         catmap.husimi(s, 4)
+    for squeeze in (0.0, -1.0):
+        with pytest.raises(ValueError, match="need squeeze > 0"):
+            catmap.husimi(s, 8, squeeze=squeeze)
 
 
 def test_scar_record_regression():

@@ -1,56 +1,61 @@
-"""Hot kernels against slow direct references, and the numba fallback flag."""
+"""Hot kernels against slow direct references."""
 
-import json
-import os
-import subprocess
-import sys
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from semiclab import _kernels, catmap, dynamics, lattice, torus
+from semiclab import _kernels, catmap, dynamics, experiments, lattice, torus
 
 A = catmap.CatMap(2, 1, 1, 1)
 
-needs_numba = pytest.mark.skipif(not _kernels.USE_NUMBA, reason="numba path disabled")
+
+def _bowen_measures():
+    # the three measures entropy-oracle scans: uniform, an atom, and a mixture
+    n_fix = 1000
+    return {
+        "uniform": dynamics.uniform_measure(400, 5),
+        "fixed-point": dynamics.EmpiricalMeasure(
+            np.zeros((n_fix, 2)), np.full(n_fix, 1.0 / n_fix)
+        ),
+        "mixture": experiments.mixture_measure(400, 5),
+    }
 
 
-def _bowen_inputs():
-    mu = dynamics.uniform_measure(400, 5)
-    orbits = dynamics._orbit_array(mu.points, A, 6)
-    base_idx = np.arange(32, dtype=np.int64)
-    return orbits, mu.weights, base_idx, 0.08
+def _bowen_brute_force(orbits, weights, bi, eps):
+    T1, P, _ = orbits.shape
+    inball = []
+    for p in range(P):
+        ok = True
+        for t in range(T1):
+            for c in range(2):
+                d = abs(orbits[t, p, c] - orbits[t, bi, c])
+                if min(d, 1.0 - d) > eps:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            inball.append(weights[p])
+    return math.fsum(inball)
 
 
 def test_bowen_masses_numpy_against_brute_force():
-    orbits, weights, base_idx, eps = _bowen_inputs()
-    got = _kernels.bowen_masses_np(orbits, weights, base_idx, eps)
-    T1, P, _ = orbits.shape
-    for i, bi in enumerate(base_idx[:8]):
-        acc = 0.0
-        for p in range(P):
-            ok = True
-            for t in range(T1):
-                for c in range(2):
-                    d = abs(orbits[t, p, c] - orbits[t, bi, c])
-                    if min(d, 1.0 - d) > eps:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                acc += weights[p]
-        assert abs(got[i] - acc) < 1e-14
-    # the base point always carries its own weight
-    assert got.min() >= weights.min()
-
-
-@needs_numba
-def test_bowen_masses_variants_agree():
-    orbits, weights, base_idx, eps = _bowen_inputs()
-    a = _kernels.bowen_masses_np(orbits, weights, base_idx, eps)
-    b = _kernels.bowen_masses_nb(orbits, weights, base_idx, eps)
-    assert np.abs(a - b).max() < 1e-13
+    eps, n_bases = 0.08, 32
+    marks = (np.arange(n_bases) + 0.5) / n_bases
+    # at T = 2 balls hold uniform points besides the base, some of them only
+    # through the wrap-around near the fixed point at 0
+    for (name, mu), T in itertools.product(_bowen_measures().items(), (2, 6)):
+        orbits = dynamics._orbit_array(mu.points, A, T)
+        # the systematic resampling of ks_entropy_estimate
+        base_idx = np.searchsorted(np.cumsum(mu.weights), marks)
+        got = _kernels.bowen_masses(orbits, mu.weights, base_idx, eps)
+        for i, bi in enumerate(base_idx):
+            ref = _bowen_brute_force(orbits, mu.weights, bi, eps)
+            assert abs(got[i] - ref) < 1e-14, (name, T, i)
+        # the base point always carries its own weight
+        assert (got >= mu.weights[base_idx]).all(), (name, T)
 
 
 def _l4_states(shell, seed):
@@ -93,7 +98,7 @@ def test_l4_moment_sums_zero_shell():
 def test_husimi_grid_numpy_against_coherent_bank():
     state = catmap.scarred_state(A, 18).amplitudes
     G = 12
-    got = _kernels.husimi_grid_np(state, G)
+    got = _kernels.husimi_grid(state, G)
     raw = np.empty((G, G))
     for a in range(G):
         for b in range(G):
@@ -101,66 +106,3 @@ def test_husimi_grid_numpy_against_coherent_bank():
             raw[a, b] = abs(np.vdot(coh, state)) ** 2
     oracle = raw / (raw.sum() / G**2)
     assert np.abs(got - oracle).max() < 1e-12
-
-
-@needs_numba
-def test_husimi_grid_variants_agree():
-    state = catmap.coherent_state(150, 0.37, 0.61).amplitudes
-    a = _kernels.husimi_grid_np(state, 16)
-    b = _kernels.husimi_grid_nb(state, 16)
-    assert np.abs(a - b).max() < 1e-10
-
-
-def test_fallback_flag_subprocess(tmp_path):
-    # a fresh interpreter with the flag set must select the numpy path and
-    # reproduce the same numbers
-    script = r"""
-import json
-import numpy as np
-from semiclab import _kernels, catmap, dynamics
-
-A = catmap.CatMap(2, 1, 1, 1)
-mu = dynamics.uniform_measure(400, 5)
-orbits = dynamics._orbit_array(mu.points, A, 6)
-bowen = _kernels.bowen_masses(orbits, mu.weights, np.arange(32), 0.08)
-
-rng = np.random.default_rng(12)
-C = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
-l4 = _kernels.l4_moment_sums(C)
-
-H = _kernels.husimi_grid(catmap.coherent_state(60, 0.25, 0.5).amplitudes, 8)
-print(json.dumps({
-    "use_numba": _kernels.USE_NUMBA,
-    "bowen": bowen.tolist(),
-    "l4": l4.tolist(),
-    "husimi": H.ravel().tolist(),
-}))
-"""
-    env = dict(os.environ, SEMICLAB_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["use_numba"] is False
-
-    orbits, weights, base_idx, eps = _bowen_inputs()
-    bowen = _kernels.bowen_masses(orbits, weights, base_idx, eps)
-    assert np.abs(np.array(out["bowen"]) - bowen).max() < 1e-13
-    rng = np.random.default_rng(12)
-    C = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
-    l4 = _kernels.l4_moment_sums(C)
-    assert np.abs(np.array(out["l4"]) - l4).max() < 1e-14
-    H = _kernels.husimi_grid(catmap.coherent_state(60, 0.25, 0.5).amplitudes, 8)
-    assert np.abs(np.array(out["husimi"]) - H.ravel()).max() < 1e-10
-
-
-def test_cli_runs_without_numba(tmp_path):
-    env = dict(os.environ, SEMICLAB_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "semiclab.cli", "run", "--experiment", "pressure-bowen",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "pressure-bowen: PASS" in proc.stdout
