@@ -1,8 +1,13 @@
 """Hot numerical kernels, one numpy implementation each.
 
-`bowen_masses` filters Bowen-ball candidates step by step, `l4_moment_sums`
-evaluates the same-midpoint chord identity in O(s) per state, and
-`husimi_grid` forms coherent-state overlaps with a theta-periodized window.
+`bowen_masses` takes Bowen-ball candidates from a sorted x-strip and filters
+them step by step, `l4_moment_sums` evaluates the same-midpoint chord
+identity in O(s) per state, and `husimi_grid` forms coherent-state overlaps
+on the unwrapped Gaussian window of each grid row: the integers n with
+|n - N x_a| <= K, K = ceil(sqrt(40 N / (pi squeeze))), so every dropped term
+is below exp(-40). Overlaps are one (G, L) @ (L, G) product; the squared
+coherent-state norm is sum_k e^{2 pi i N k xi} sum_n g(n) g(n + kN), whose
+k != 0 terms carry the aliasing of windows longer than N.
 """
 
 import math
@@ -15,19 +20,38 @@ USE_NUMBA = False
 
 # ---------------------------------------------------------------- Bowen balls
 
+def _within(p, q, eps):
+    # rows of p within torus sup-distance eps of the point q
+    d = np.abs(p - q)
+    return (np.minimum(d, 1.0 - d) <= eps).all(axis=1)
+
+
 def bowen_masses(orbits, weights, base_idx, eps):
     """Mass of each Bowen sup-ball: orbits (T+1, P, 2), bases index into P.
 
-    At step t only the points that stayed within eps of the base at every
-    earlier step are tested. Survivors stay in ascending index order, so the
-    mass is summed exactly as over a full in-ball mask.
+    The t = 0 test runs only on the x-strip |x - x_b| <= eps of the points
+    sorted by x, wrapping across the seam and padded so that it holds every
+    point the test keeps. Its survivors, in ascending index order, are then
+    tested step by step: at step t only the points that stayed within eps
+    at every earlier step are tested, so the mass is summed exactly as over
+    a full in-ball mask.
     """
+    order = np.argsort(orbits[0, :, 0], kind="stable")
+    first = orbits[0, order]
+    xs = orbits[0, order, 0]
+    reach = eps + 1e-9      # the pad dwarfs the rounding of |x - x_b|
     out = np.empty(len(base_idx))
     for i, bi in enumerate(base_idx):
-        cand = np.arange(orbits.shape[1])
-        for t in range(orbits.shape[0]):
-            d = np.abs(orbits[t, cand] - orbits[t, bi])
-            cand = cand[(np.minimum(d, 1.0 - d) <= eps).all(axis=1)]
+        # the strip and its images across the seam; np.unique restores
+        # ascending index order (and drops repeats once eps >= 1/2)
+        lo = orbits[0, bi, 0] - reach + np.array([-1.0, 0.0, 1.0])
+        cuts = np.searchsorted(xs, np.concatenate([lo, lo + 2.0 * reach]))
+        cand = np.unique(np.concatenate([
+            order[a:b][_within(first[a:b], orbits[0, bi], eps)]
+            for a, b in zip(cuts[:3], cuts[3:])
+        ]))
+        for t in range(1, orbits.shape[0]):
+            cand = cand[_within(orbits[t, cand], orbits[t, bi], eps)]
         out[i] = weights[cand].sum()
     return out
 
@@ -68,28 +92,45 @@ def l4_moment_sums(C):
 
 # ------------------------------------------------------------- Husimi grids
 
+# Gaussian terms exp(-pi N squeeze u^2) below exp(-_CUTOFF) are dropped.
+_CUTOFF = 40.0
+
+
+def _gauss_reach(N, squeeze):
+    # |u| on the torus beyond which exp(-pi N squeeze u^2) < exp(-_CUTOFF)
+    return math.sqrt(_CUTOFF / (math.pi * N * squeeze))
+
+
 def _theta_width(N, squeeze):
-    # periodization window: dropped terms are below exp(-40) ~ 1e-18
-    return int(math.ceil(math.sqrt(40.0 / (math.pi * N * squeeze)))) + 2
+    # periodization window of a coherent state on the N sites j / N
+    return int(math.ceil(_gauss_reach(N, squeeze))) + 2
 
 
 def husimi_grid(state, G, squeeze=1.0):
-    """|<coherent(x_a, xi_b) | state>|^2 on cell centers; rows index x."""
-    N = len(state)
-    W = _theta_width(N, squeeze)
-    ws = np.arange(-W, W + 1)
-    xs = (np.arange(G) + 0.5) / G
-    j = np.arange(N)
-    H = np.empty((G, G))
-    for a in range(G):
-        t = j / N - xs[a]
-        R = np.exp(-math.pi * N * squeeze * (t[:, None] - ws[None, :]) ** 2)
-        P1 = np.exp(2j * math.pi * N * np.outer(xs, t))          # (G, N)
-        P2 = np.exp(-2j * math.pi * N * np.outer(xs, ws))        # (G, 2W+1)
-        Q = R @ P2.T                                             # (N, G)
-        coh_conj = P1.conj() * Q.T.conj()                        # (G, N)
-        ovl = coh_conj @ state
-        norms2 = (np.abs(Q) ** 2).sum(axis=0)
-        H[a] = (np.abs(ovl) ** 2) / norms2
-    return H / (H.sum() / G**2)
+    """|<coherent(x_a, xi_b) | state>|^2 on cell centers; rows index x.
 
+    Row a sees only the sites n with |n - c_a| <= K around c_a = N x_a, where
+    K = ceil(N * _gauss_reach): an (G, L) gather Psi[a, i] = g_a(n) state[n mod N]
+    with n = ceil(c_a) - K + i, L = 2K + 1 and g_a(n) = exp(-pi squeeze
+    (n - c_a)^2 / N). The overlap is then (Psi @ E)[a, b] with
+    E[i, b] = exp(-2 pi i xi_b i), up to a phase of modulus one. The squared
+    norm of the unwrapped coherent state is
+
+        sum_k e^{2 pi i N k xi_b} sum_n g_a(n) g_a(n + kN),
+
+    where the k != 0 terms appear only when L > N and carry its aliasing.
+    """
+    N = len(state)
+    K = int(math.ceil(N * _gauss_reach(N, squeeze)))
+    L = 2 * K + 1
+    grid = (np.arange(G) + 0.5) / G
+    c = N * grid
+    n = np.ceil(c).astype(np.int64)[:, None] - K + np.arange(L)      # (G, L)
+    g = np.exp(-math.pi * squeeze / N * (n - c[:, None]) ** 2)
+    ovl = (g * state[n % N]) @ np.exp(-2j * math.pi * np.outer(np.arange(L), grid))
+    ks = np.arange(-((L - 1) // N), (L - 1) // N + 1)
+    C = np.stack([(g[:, : L - abs(k) * N] * g[:, abs(k) * N :]).sum(axis=1) for k in ks], axis=1)
+    # C[:, k] = C[:, -k], so the k and -k phases pair into a cosine
+    norms2 = C @ np.cos(2.0 * math.pi * N * np.outer(ks, grid))
+    H = np.abs(ovl) ** 2 / norms2
+    return H / (H.sum() / G**2)

@@ -65,6 +65,8 @@ class TorusPhaseState:
     def __post_init__(self):
         if len(self.amplitudes) != self.N:
             raise ValueError("amplitude vector has wrong length")
+        if not np.isfinite(self.amplitudes).all():
+            raise ValueError("amplitudes must be finite")
         if abs(float((np.abs(self.amplitudes) ** 2).sum()) - 1.0) > 1e-12:
             raise ValueError("amplitudes must have unit norm")
 
@@ -214,7 +216,7 @@ def quantum_period(Q):
 def coherent_state(N, x0, xi0, squeeze=1.0):
     """Periodized Gaussian wave packet at (x0, xi0), normalized.
 
-    The theta sum is truncated once the neglected terms are below 1e-16.
+    The theta sum drops the terms below exp(-40) ~ 4e-18 (`_kernels._CUTOFF`).
     """
     if not (0 <= x0 < 1 and 0 <= xi0 < 1):
         raise ValueError("center must lie in [0,1)^2")

@@ -24,8 +24,13 @@ class EmpiricalMeasure:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or len(pts) != len(w):
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must have shape (P, 2)")
+        if len(pts) != len(w):
             raise ValueError("points and weights must align")
+        # NaN fails every comparison below, so it must be caught first
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise ValueError("points and weights must be finite")
         if w.min() < 0:
             raise ValueError("weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:

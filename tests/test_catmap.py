@@ -45,6 +45,10 @@ def test_torus_phase_state_validation():
         catmap.TorusPhaseState(4, v)
     with pytest.raises(ValueError, match="unit norm"):
         catmap.TorusPhaseState(5, 2.0 * v)
+    nan = v.copy()
+    nan[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        catmap.TorusPhaseState(5, nan)
 
 
 def test_translation_unitary():

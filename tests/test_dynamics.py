@@ -24,6 +24,15 @@ def test_empirical_measure_validation():
         dynamics.EmpiricalMeasure(pts, np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="fundamental domain"):
         dynamics.EmpiricalMeasure(np.array([[0.1, 1.0]]), np.array([1.0]))
+    # one column would broadcast into both coordinates of the orbit array
+    for width in (1, 3):
+        with pytest.raises(ValueError, match="shape"):
+            dynamics.EmpiricalMeasure(np.full((2, width), 0.25), np.array([0.5, 0.5]))
+    # NaN fails every range comparison
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.EmpiricalMeasure(pts, np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.EmpiricalMeasure(np.array([[0.1, np.nan], [0.5, 0.9]]), np.array([0.5, 0.5]))
 
 
 def test_uniform_measure_seeded():

@@ -57,6 +57,31 @@ def test_bowen_masses_numpy_against_brute_force():
         # the base point always carries its own weight
         assert (got >= mu.weights[base_idx]).all(), (name, T)
 
+    # across the seam: bases within eps of x = 0 and of x = 1, points on the
+    # far side of it, and points at x-distance exactly eps (all dyadic, so
+    # the distances are exact and the strip must hold its end points)
+    eps = 0.0625
+    seam = np.array([
+        [0.03125, 0.5], [0.96875, 0.5], [0.09375, 0.5],
+        [0.984375, 0.25], [0.046875, 0.25], [0.921875, 0.25],
+        [0.0, 0.75], [0.9375, 0.75], [0.5, 0.75],
+    ])
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.1, 0.1, 400) % 1.0
+    pts = np.vstack([seam, np.column_stack([x, rng.uniform(0.0, 1.0, 400)])])
+    weights = rng.uniform(0.5, 1.5, len(pts))
+    weights /= weights.sum()
+    base_idx = np.arange(len(seam) + 40)
+    for T in (0, 1, 2):
+        orbits = dynamics._orbit_array(pts, A, T)
+        got = _kernels.bowen_masses(orbits, weights, base_idx, eps)
+        for i, bi in enumerate(base_idx):
+            ref = _bowen_brute_force(orbits, weights, bi, eps)
+            assert abs(got[i] - ref) < 1e-14, ("seam", T, i)
+        if T == 0:
+            # the first base holds the wrapped point and the one at distance eps
+            assert got[0] >= weights[:3].sum()
+
 
 def _l4_states(shell, seed):
     # random states, one real psi (c_{-k} = conj c_k) and one on a diameter
@@ -95,14 +120,46 @@ def test_l4_moment_sums_zero_shell():
     assert _kernels.l4_moment_sums(c)[0] == pytest.approx(0.25**2, rel=1e-15)
 
 
+def _husimi_bank(N, G, squeeze):
+    # conjugated coherent states at the cell centers, cell (a, b) in row a*G + b
+    return np.array([
+        catmap._coherent_array(N, (a + 0.5) / G, (b + 0.5) / G, squeeze)
+        for a in range(G)
+        for b in range(G)
+    ]).conj()
+
+
+def _husimi_oracle(bank, states, G):
+    raw = (np.abs(bank @ states) ** 2).T.reshape(-1, G, G)
+    return raw / (raw.sum(axis=(1, 2), keepdims=True) / G**2)
+
+
 def test_husimi_grid_numpy_against_coherent_bank():
-    state = catmap.scarred_state(A, 18).amplitudes
-    G = 12
-    got = _kernels.husimi_grid(state, G)
-    raw = np.empty((G, G))
-    for a in range(G):
-        for b in range(G):
-            coh = catmap._coherent_array(18, (a + 0.5) / G, (b + 0.5) / G)
-            raw[a, b] = abs(np.vdot(coh, state)) ** 2
-    oracle = raw / (raw.sum() / G**2)
-    assert np.abs(got - oracle).max() < 1e-12
+    # the window of 2K + 1 sites is longer than N at N = 2 and 18 and shorter
+    # at N = 101 and 504; the scarred state at N = 18 rides along. G = 13
+    # puts the row centers N x_a off the integers.
+    G = 13
+    rng = np.random.default_rng(5)
+    for N, squeeze in itertools.product((2, 18, 101, 504), (0.5, 1.0, 2.0)):
+        bank = _husimi_bank(N, G, squeeze)
+        states = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+        states /= np.linalg.norm(states, axis=0)
+        if N == 18:
+            states[:, 0] = catmap.scarred_state(A, 18).amplitudes
+        oracle = _husimi_oracle(bank, states, G)
+        for j in range(states.shape[1]):
+            got = _kernels.husimi_grid(states[:, j], G, squeeze)
+            assert np.abs(got - oracle[j]).max() < 1e-12, (N, squeeze, j)
+        # a state on one site n0 sees each Gaussian term alone: every cell
+        # whose term at n0 is above the exp(-40) cut-off, with the other
+        # periodic images negligible beside it, agrees to roundoff relative
+        # to its own size, however far in the tail it lies
+        oracle = _husimi_oracle(bank, np.eye(N), G)
+        c = N * (np.arange(G) + 0.5) / G
+        for n0 in range(N):
+            got = _kernels.husimi_grid(np.eye(N)[n0].astype(complex), G, squeeze)
+            dist = np.abs((n0 - c + N / 2) % N - N / 2)
+            near, far = (np.exp(-math.pi * squeeze * d**2 / N) for d in (dist, N - dist))
+            kept = (near >= math.exp(-40.0)) & (far < 1e-12 * near)
+            rel = np.abs(got - oracle[n0])[kept] / oracle[n0][kept]
+            assert rel.max(initial=0.0) < 1e-10, (N, squeeze, n0)
