@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from semiclab._errors import NumericalSignal
 
@@ -30,6 +29,8 @@ class SphericalState:
             raise ValueError("degree must be >= 0")
         if len(self.amplitudes) != 2 * self.degree + 1:
             raise ValueError("amplitude vector has wrong length")
+        if not np.isfinite(self.amplitudes).all():
+            raise ValueError("amplitudes must be finite")
         if abs(float((np.abs(self.amplitudes) ** 2).sum()) - 1.0) > 1e-12:
             raise ValueError("amplitudes must have unit norm")
 
@@ -44,6 +45,8 @@ class GeodesicPoint:
         v = np.asarray(self.u, dtype=float)
         if v.shape != (3,):
             raise ValueError("normal must be a 3-vector")
+        if not np.isfinite(v).all():
+            raise ValueError("normal must be finite")
         if abs(float(np.dot(v, v)) - 1.0) > 1e-12:
             raise ValueError("normal must be a unit vector")
         object.__setattr__(self, "u", v)
@@ -65,11 +68,13 @@ def _norm_legendre(L, x):
         P[:, m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[:, m - 1, m - 1]
     for m in range(L):
         P[:, m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[:, m, m]
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[:, l, m] = a * (x * P[:, l - 1, m] - b * P[:, l - 2, m])
+    # three-term recurrence in l, all orders m <= l - 2 at once
+    xc = x[:, None]
+    for l in range(2, L + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        P[:, l, : l - 1] = a * (xc * P[:, l - 1, : l - 1] - b * P[:, l - 2, : l - 1])
     return P
 
 
@@ -164,13 +169,17 @@ def reproducing_kernel_diag(l):
     return float(vals.mean())
 
 
-def random_onb(l, seed):
-    """Haar-random orthonormal basis of the degree-l eigenspace."""
-    rng = np.random.default_rng(seed)
-    d = 2 * l + 1
+def _haar_unitary(rng, d):
+    # Ginibre QR with the phases of diag(R) divided out: Haar on U(d)
     G = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
     Q, R = np.linalg.qr(G)
-    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]
+
+
+def random_onb(l, seed):
+    """Haar-random orthonormal basis of the degree-l eigenspace."""
+    d = 2 * l + 1
+    Q = _haar_unitary(np.random.default_rng(seed), d)
     return [SphericalState(l, Q[:, j].copy()) for j in range(d)]
 
 
@@ -215,9 +224,7 @@ def concentration_experiment(l, a, trials, seed):
     d = 2 * l + 1
     sups = np.empty(trials)
     for t in range(trials):
-        G = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-        Q, R = np.linalg.qr(G)
-        Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]
+        Q = _haar_unitary(rng, d)
         devs = (np.abs(Q) ** 2 * diag[:, None]).sum(axis=0)
         sups[t] = float(np.abs(devs).max())
     threshold = l ** (-1.0 / 8.0)
@@ -232,29 +239,35 @@ def concentration_experiment(l, a, trials, seed):
     }
 
 
-def _circle_frame(u):
-    anchor = np.array([0.0, 0.0, 1.0]) if abs(u[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(u, anchor)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(u, e1)
+def _legendre_at_zero(L):
+    """P_l(0) for l = 0..L: zero for odd l, (-1)^{l/2} (l-1)!!/l!! for even l."""
+    p = np.zeros(L + 1)
+    p[0] = 1.0
+    for l in range(2, L + 1, 2):
+        p[l] = -(l - 1.0) / l * p[l - 2]
+    return p
 
 
-def _radon_value(coeffs, u, nodes=None):
-    # average of the coefficient-list function over the great circle with
-    # oriented normal u; uniform nodes, exact for band-limited integrands
-    L = len(coeffs) - 1
-    n = nodes if nodes is not None else 4 * L + 8
-    e1, e2 = _circle_frame(u)
-    s = 2.0 * math.pi * np.arange(n) / n
-    pts = np.outer(np.cos(s), e1) + np.outer(np.sin(s), e2)
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    return complex(evaluate_coefficients(coeffs, theta, phi).mean())
+def _radon_at(V, theta, phi):
+    # Funk-Hecke: the average of Y_lm over the great circle with normal u is
+    # P_l(0) Y_lm(u), so the Radon transform of V is the function whose
+    # coefficients are P_l(0) V_l, evaluated at the normals (theta, phi)
+    p0 = _legendre_at_zero(len(V) - 1)
+    RV = [p0[l] * np.asarray(c, dtype=complex) for l, c in enumerate(V)]
+    return evaluate_coefficients(RV, theta, phi).real
+
+
+def _radon_at_normals(V, u):
+    # u: (n, 3) nonzero vectors; the transform at u / |u|
+    u = np.asarray(u, dtype=float)
+    u = u / np.linalg.norm(u, axis=1)[:, None]
+    theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
+    return _radon_at(V, theta, np.arctan2(u[:, 1], u[:, 0]))
 
 
 def radon_transform(V, gamma):
     """Average of V (coefficient list) over the great circle normal to gamma."""
-    return float(_radon_value(V, gamma.u).real)
+    return float(_radon_at_normals(V, gamma.u[None, :])[0])
 
 
 def radon_flow(V, gamma0, t):
@@ -264,19 +277,17 @@ def radon_flow(V, gamma0, t):
     the area symplectic form; the flow is u' = grad R(V) x u with the
     0-homogeneous extension of R(V), integrated adaptively.
     """
+    from scipy.integrate import solve_ivp
+
     if t == 0:
         return gamma0
     h = 1e-5
-
-    def ham(v):
-        return _radon_value(V, v / np.linalg.norm(v)).real
+    # central differences: rows v + h e_i, then v - h e_i
+    stencil = np.vstack([h * np.eye(3), -h * np.eye(3)])
 
     def rhs(_, v):
-        g = np.empty(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            g[i] = (ham(v + e) - ham(v - e)) / (2.0 * h)
+        R = _radon_at_normals(V, v + stencil)
+        g = (R[:3] - R[3:]) / (2.0 * h)
         return np.cross(g, v)
 
     sol = solve_ivp(rhs, (0.0, t), gamma0.u, method="RK45", rtol=1e-12, atol=1e-12)
@@ -364,29 +375,29 @@ def _is_zonal(V):
 
 
 def radon_range(V, n_grid=2001):
-    """[min, max] of the Radon transform sampled over the geodesic sphere."""
+    """[min, max] of the Radon transform sampled over the geodesic sphere.
+
+    Zonal V gives a transform that depends on u3 only, sampled at n_grid
+    heights; otherwise the normals form a heights x longitudes grid.
+    """
     if _is_zonal(V):
-        u3 = np.linspace(-1.0, 1.0, n_grid)
-        vals = np.array(
-            [_radon_value(V, np.array([math.sqrt(max(0.0, 1 - t * t)), 0.0, t])).real
-             for t in u3]
-        )
+        theta = np.arccos(np.linspace(-1.0, 1.0, n_grid))
+        phi = np.zeros(n_grid)
     else:
         nt = max(41, int(math.isqrt(n_grid)))
         u3 = np.linspace(-1.0, 1.0, nt)
         ph = np.linspace(0.0, 2.0 * math.pi, 2 * nt + 1)[:-1]
-        vals = []
-        for t in u3:
-            r = math.sqrt(max(0.0, 1.0 - t * t))
-            for p in ph:
-                vals.append(_radon_value(V, np.array([r * math.cos(p), r * math.sin(p), t])).real)
-        vals = np.array(vals)
+        theta = np.repeat(np.arccos(u3), len(ph))
+        phi = np.tile(ph, nt)
+    vals = _radon_at(V, theta, phi)
     return float(vals.min()), float(vals.max())
 
 
 def hausdorff_to_interval(points, lo, hi):
     """Hausdorff distance between a finite point set and the interval [lo, hi]."""
     pts = np.sort(np.asarray(points, dtype=float))
+    if len(pts) == 0:
+        raise ValueError("empty point set")
     if hi < lo:
         raise ValueError("empty interval")
     d1 = max(lo - pts[0], pts[-1] - hi, 0.0)

@@ -1,6 +1,8 @@
 """Spherical harmonics, equatorial concentration, and the geodesic Radon picture."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +66,9 @@ def test_spherical_state_validation():
         sphere.SphericalState(1, np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         sphere.SphericalState(1, np.array([1.0, 1.0, 0.0], dtype=complex))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sphere.SphericalState(1, np.array([bad, 0.0, 0.0], dtype=complex))
 
 
 def test_geodesic_point_validation():
@@ -73,6 +78,9 @@ def test_geodesic_point_validation():
         sphere.GeodesicPoint(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         sphere.GeodesicPoint(np.array([0.0, 0.0, 1.5]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sphere.GeodesicPoint(np.array([bad, 0.0, 0.0]))
 
 
 def test_highest_weight_constant_normalizes_state():
@@ -283,6 +291,8 @@ def test_hausdorff_to_interval_hand_cases():
     assert sphere.hausdorff_to_interval([0.0, 0.25, 0.5, 0.75, 1.0], 0.0, 1.0) == 0.125
     with pytest.raises(ValueError, match="empty interval"):
         sphere.hausdorff_to_interval([0.0], 1.0, 0.0)
+    with pytest.raises(ValueError, match="empty point set"):
+        sphere.hausdorff_to_interval([], 0.0, 1.0)
 
 
 def test_laplacian_diagonal_and_blocks():
@@ -292,3 +302,126 @@ def test_laplacian_diagonal_and_blocks():
     sls = sphere.block_slices(3)
     assert [s.stop - s.start for s in sls] == [1, 3, 5, 7]
     assert sls[-1].stop == 16
+
+
+def _norm_legendre_loops(L, x):
+    # the table by the plain double loop over (m, l), one order at a time
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    P = np.zeros((len(x), L + 1, L + 1))
+    P[:, 0, 0] = math.sqrt(1.0 / FOUR_PI)
+    if L == 0:
+        return P
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    for m in range(1, L + 1):
+        P[:, m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[:, m - 1, m - 1]
+    for m in range(L):
+        P[:, m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[:, m, m]
+    for m in range(L + 1):
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            P[:, l, m] = a * (x * P[:, l - 1, m] - b * P[:, l - 2, m])
+    return P
+
+
+def test_norm_legendre_matches_double_loop_bitwise():
+    rng = np.random.default_rng(2718)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 20), [-1.0, 0.0, 1.0]])
+    for L in list(range(101)) + [200]:
+        assert np.array_equal(sphere._norm_legendre(L, x), _norm_legendre_loops(L, x)), L
+
+
+def _radon_value(coeffs, u):
+    # slow reference: average over 4L + 8 uniform nodes of the great circle
+    # normal to u, exact for band-limited integrands; the frame anchors on e3
+    # unless u is within arccos(0.9) of a pole
+    L = len(coeffs) - 1
+    n = 4 * L + 8
+    anchor = np.array([0.0, 0.0, 1.0]) if abs(u[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(u, anchor)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u, e1)
+    s = 2.0 * math.pi * np.arange(n) / n
+    pts = np.outer(np.cos(s), e1) + np.outer(np.sin(s), e2)
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    return complex(sphere.evaluate_coefficients(coeffs, theta, phi).mean())
+
+
+def _random_real_coeffs(L, rng):
+    # c_{l,-m} = (-1)^m conj(c_{l,m}) makes the function real
+    V = []
+    for l in range(L + 1):
+        pos = rng.standard_normal(l + 1) + 1j * rng.standard_normal(l + 1)
+        pos[0] = pos[0].real
+        c = np.empty(2 * l + 1, dtype=complex)
+        c[l:] = pos
+        c[:l] = (((-1.0) ** np.arange(1, l + 1)) * pos[1:].conj())[::-1]
+        V.append(c)
+    return V
+
+
+def test_legendre_at_zero_matches_numpy_legendre():
+    p0 = sphere._legendre_at_zero(40)
+    for l in range(41):
+        ref = np.polynomial.legendre.Legendre.basis(l)(0.0)
+        assert abs(p0[l] - ref) < 1e-15, l
+        if l % 2:
+            assert p0[l] == 0.0
+
+
+def test_funk_hecke_against_circle_quadrature():
+    rng = np.random.default_rng(1978)
+    for L in (0, 1, 2, 5, 8):
+        V = _random_real_coeffs(L, rng)
+        normals = [rng.standard_normal(3) for _ in range(8)]
+        normals += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+        # both sides of the reference's anchor switch at |u3| = 0.9
+        for u3 in (0.9 - 1e-9, 0.9 + 1e-9, -0.9 - 1e-9, -0.9 + 1e-9):
+            p = rng.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(1.0 - u3 * u3)
+            normals.append(np.array([r * math.cos(p), r * math.sin(p), u3]))
+        for u in normals:
+            u = u / np.linalg.norm(u)
+            ref = _radon_value(V, u)
+            assert abs(ref.imag) < 1e-13
+            got = sphere.radon_transform(V, sphere.GeodesicPoint(u))
+            assert abs(got - ref.real) < 1e-13, (L, u)
+
+
+def test_radon_range_non_zonal_against_quadrature():
+    rng = np.random.default_rng(1977)
+    V = _random_real_coeffs(4, rng)
+    assert not sphere._is_zonal(V)
+    # the default grid: 44 heights x 88 longitudes of normals
+    nt = 44
+    vals = []
+    for t in np.linspace(-1.0, 1.0, nt):
+        r = math.sqrt(max(0.0, 1.0 - t * t))
+        for p in np.linspace(0.0, 2.0 * math.pi, 2 * nt + 1)[:-1]:
+            vals.append(_radon_value(V, np.array([r * math.cos(p), r * math.sin(p), t])).real)
+    lo, hi = sphere.radon_range(V)
+    assert abs(lo - min(vals)) < 1e-13 and abs(hi - max(vals)) < 1e-13
+
+
+def test_radon_range_evaluates_once(monkeypatch):
+    calls = []
+    evaluate = sphere.evaluate_coefficients
+
+    def spy(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(sphere, "evaluate_coefficients", spy)
+    zonal = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4)
+    sphere.radon_range(zonal)
+    assert len(calls) == 1
+    sphere.radon_range(_random_real_coeffs(3, np.random.default_rng(0)))
+    assert len(calls) == 2
+
+
+def test_import_experiments_leaves_out_integrate():
+    # solve_ivp is imported inside radon_flow, which no experiment calls
+    code = "import sys, semiclab.experiments; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
