@@ -59,10 +59,11 @@ def bowen_masses(orbits, weights, base_idx, eps):
 # ------------------------------------------------- batched L4 moment sums
 
 def l4_moment_sums(C):
-    """For each state row of C: sum over difference vectors p of |M(p)|^2.
+    """For each state row of C: S = sum over difference vectors p of |M(p)|^2,
+    returned with X = sum_k |c_k|^2 as the pair (S, X).
 
     M(p) = sum_{k - k' = p} c_k conj(c_k') is the p-th Fourier coefficient of
-    |psi|^2, so the result times (2pi)^2 is the integral of |psi|^4 over T^2.
+    |psi|^2, so S times (2pi)^2 is the integral of |psi|^4 over T^2.
     C is (states, s), with columns aligned to a lexicographically sorted 2-D
     shell, on which -k sits at the reversed index s - 1 - i.
 
@@ -77,17 +78,23 @@ def l4_moment_sums(C):
     |Y| <= X and F, Z >= 0 bound this by 3 X^2, which is where the L4 bound
     3 / (2pi)^2 for normalized states comes from. The identity needs n = 2.
     """
-    A = np.abs(C) ** 2
-    X = A.sum(axis=1)
-    Y = (C * C[:, ::-1]).sum(axis=1)
-    Z = (A * A[:, ::-1]).sum(axis=1)
-    F = (A**2).sum(axis=1)
-    out = 2.0 * X**2 - F + np.abs(Y) ** 2 - 2.0 * Z
+    A = C.real**2 + C.imag**2
     s = C.shape[1]
+    h = s // 2
+    X = np.einsum("ij->i", A)
+    F = np.einsum("ij,ij->i", A, A)
+    # the terms of Y and Z at k and -k are equal: sum one half twice
+    Y = 2.0 * np.einsum("ij,ij->i", C[:, :h], C[:, : -h - 1 : -1])
+    Z = 2.0 * np.einsum("ij,ij->i", A[:, :h], A[:, : -h - 1 : -1])
     if s % 2:
-        # k = -k only for the zero vector: add back the triple overlap
-        out += A[:, s // 2] ** 2
-    return out
+        # k = -k only for the zero vector, in the middle
+        Y += C[:, h] ** 2
+        Z += A[:, h] ** 2
+    out = 2.0 * X**2 - F + np.abs(Y) ** 2 - 2.0 * Z
+    if s % 2:
+        # add back the triple overlap of the zero vector
+        out += A[:, h] ** 2
+    return out, X
 
 
 # ------------------------------------------------------------- Husimi grids

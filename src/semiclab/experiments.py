@@ -55,14 +55,17 @@ def _write_csv(path, header, rows):
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
+def _shells(max_m):
+    # the nonempty 2-D shells 1 <= m <= max_m in increasing m, from one sieve
+    return (s for s in lattice.shells_2d(max_m) if s.radius_squared and len(s))
+
+
 def _run_l4_sweep(cfg, out_dir):
     bound = 3.0 / TWO_PI**2
     rows = []
     best_val, best_m = 0.0, 0
-    for m in range(1, cfg["max_m"] + 1):
-        shell = lattice.enumerate_shell(m, 2)
-        if len(shell) == 0:
-            continue
+    for shell in _shells(cfg["max_m"]):
+        m = shell.radius_squared
         vals = torus.l4_batch(shell, cfg["states_per_shell"], (cfg["seed"], m))
         top = float(vals.max())
         rows.append((m, len(shell), top))
@@ -85,14 +88,13 @@ def _run_l4_sweep(cfg, out_dir):
 
 def _run_jarnik(cfg, out_dir):
     worst_pair = 0
-    for m in range(1, cfg["max_m"] + 1):
-        shell = lattice.enumerate_shell(m, 2)
-        if len(shell) < 2:
-            continue
-        v = np.asarray(shell.vectors)
-        diffs = (v[:, None, :] - v[None, :, :]).reshape(-1, 2)
-        diffs = diffs[np.any(diffs != 0, axis=1)]
-        _, counts = np.unique(diffs, axis=0, return_counts=True)
+    # key(k) = k1 W + k2 is additive, and injective on the differences,
+    # whose entries are at most 2 isqrt(max_m) in size
+    W = 4 * math.isqrt(cfg["max_m"]) + 1
+    for shell in _shells(cfg["max_m"]):
+        keys = np.array(shell.vectors) @ (W, 1)
+        diffs = (keys[:, None] - keys[None, :]).ravel()
+        _, counts = np.unique(diffs[diffs != 0], return_counts=True)
         worst_pair = max(worst_pair, int(counts.max()))
     rng = np.random.default_rng(cfg["seed"])
     worst_arc = 0
@@ -105,8 +107,12 @@ def _run_jarnik(cfg, out_dir):
         half = ell / (2.0 * T)
         ang = np.arctan2(v[:, 1], v[:, 0])
         thetas = rng.uniform(0.0, TWO_PI, cfg["arcs_per_radius"])
-        d = np.abs((ang[None, :] - thetas[:, None] + math.pi) % TWO_PI - math.pi)
-        mx = int((d <= half).sum(axis=1).max())
+        # blocks of 1024 arcs keep the (arcs, s) temporaries small
+        mx = max(
+            int((np.abs((ang - th[:, None] + math.pi) % TWO_PI - math.pi) <= half)
+                .sum(axis=1).max())
+            for th in np.split(thetas, range(1024, len(thetas), 1024))
+        )
         rows.append((m, len(shell), ell, mx))
         worst_arc = max(worst_arc, mx)
     if out_dir:
@@ -130,10 +136,9 @@ def _run_variance(cfg, out_dir):
     sizes = []
     for r, M in enumerate(caps):
         basis = []
-        for m in range(1, M + 1):
-            shell = lattice.enumerate_shell(m, 2)
-            if len(shell):
-                basis.extend(torus.random_shell_basis(shell, (cfg["seed"], M, m)))
+        for shell in _shells(M):
+            m = shell.radius_squared
+            basis.extend(torus.random_shell_basis(shell, (cfg["seed"], M, m)))
         sizes.append(len(basis))
         for c, a in enumerate(symbols):
             table[r, c] = torus.quantum_variance(basis, a)
@@ -178,8 +183,7 @@ def _direct_flowed_element(psi, p, t):
 
 def _run_torus_egorov(cfg, out_dir):
     rng = np.random.default_rng(cfg["seed"])
-    shells = [lattice.enumerate_shell(m, 2) for m in range(1, cfg["max_m"] + 1)]
-    shells = [s for s in shells if len(s)]
+    shells = list(_shells(cfg["max_m"]))
     worst_match = 0.0
     worst_invariance = 0.0
     nonzero_elements = 0

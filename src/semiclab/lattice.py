@@ -4,11 +4,18 @@ Shell enumeration, ball counting, pair-degeneracy counts, and lattice
 points on circular arcs. All membership decisions use exact integer
 arithmetic; floats only enter through arc endpoint directions, never
 through point membership on the circle itself.
+
+`enumerate_shell` builds one shell of Z^n by a per-m loop; it is the exact
+reference. `shells_2d` builds every shell of Z^2 up to M in one sieve pass:
+all (a, b) with a^2 + b^2 <= M in lexicographic order, stable-sorted by
+a^2 + b^2 and cut at the searchsorted boundaries.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from semiclab._errors import NumericalSignal
 
@@ -49,6 +56,30 @@ def enumerate_shell(m, n):
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     return LatticeShell(n, m, tuple(sorted(_shell_vectors(m, n))))
+
+
+def shells_2d(M):
+    """enumerate_shell(m, 2) for m = 0, 1, ..., M, empty shells included.
+
+    The vectors of all shells come from one sieve pass; the LatticeShells
+    are built one at a time as the returned iterator is consumed.
+    """
+    if M < 0:
+        raise ValueError("need M >= 0")
+    r = math.isqrt(M)
+    axis = np.arange(-r, r + 1, dtype=np.int64)
+    norms = axis[:, None] ** 2 + axis[None, :] ** 2
+    # np.nonzero walks the grid in row-major, i.e. lexicographic, order and
+    # the stable sort keeps that order inside each shell
+    i, j = np.nonzero(norms <= M)
+    order = np.argsort(norms[i, j], kind="stable")
+    i, j = i[order], j[order]
+    vectors = np.stack([axis[i], axis[j]], axis=1)
+    cuts = np.searchsorted(norms[i, j], np.arange(M + 2)).tolist()
+    return (
+        LatticeShell(2, m, tuple(map(tuple, vectors[cuts[m]:cuts[m + 1]].tolist())))
+        for m in range(M + 1)
+    )
 
 
 def _count_leq(s, n):

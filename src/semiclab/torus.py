@@ -129,7 +129,8 @@ def exact_l4(psi):
     """Exact integral of |psi|^4 over T^2 via Plancherel on density moments."""
     if psi.dimension != 2:
         raise NumericalSignal("unsupported-dimension", "exact_l4 needs n = 2")
-    return TWO_PI**2 * float(_kernels.l4_moment_sums(psi.amplitudes[None, :])[0])
+    S, _ = _kernels.l4_moment_sums(psi.amplitudes[None, :])
+    return TWO_PI**2 * float(S[0])
 
 
 def l4_batch(shell, n_states, seed):
@@ -138,11 +139,16 @@ def l4_batch(shell, n_states, seed):
         raise NumericalSignal("unsupported-dimension", "l4_batch needs n = 2")
     if len(shell) == 0:
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
+    if n_states < 1:
+        raise ValueError("need n_states >= 1")
     rng = np.random.default_rng(seed)
     s = len(shell)
-    C = rng.standard_normal((n_states, s)) + 1j * rng.standard_normal((n_states, s))
-    C /= TWO_PI * np.linalg.norm(C, axis=1, keepdims=True)
-    return TWO_PI**2 * _kernels.l4_moment_sums(C)
+    C = np.empty((n_states, s), dtype=complex)
+    C.real, C.imag = rng.standard_normal((2, n_states, s))
+    # S is homogeneous of degree 4, so for the normalized states
+    # C / (2pi sqrt(X)) the integral (2pi)^2 S becomes S / (2pi X)^2
+    S, X = _kernels.l4_moment_sums(C)
+    return S / (TWO_PI * X) ** 2
 
 
 def _eval_profile(prof, mid, hbar):
@@ -194,37 +200,42 @@ def quantum_variance(basis, a):
     for psi in basis:
         by_shell.setdefault(psi.shell.radius_squared, []).append(psi)
     M = max(by_shell)
-    expected = count_in_ball(math.sqrt(M), n) - 1
+    # points with |k|^2 <= M; math.sqrt(M) itself may round below the root
+    expected = count_in_ball(math.sqrt(M + 0.5), n) - 1
     total_states = sum(len(v) for v in by_shell.values())
     if total_states != expected:
         raise ValueError(f"basis has {total_states} states, shells up to {M} need {expected}")
     ahat = {tuple(p): complex(v) for p, v in a.terms.items() if any(p)}
-    total = 0.0
+    P = np.array(list(ahat), dtype=np.int64).reshape(-1, n)
+    coef = TWO_PI**n * np.array(list(ahat.values()), dtype=complex)
+    # keys sum_i v_i W^i are additive, and injective on the vectors with
+    # entries below W/2 in size, which holds for every k and k + p
+    W = 2 * (math.isqrt(M) + int(np.abs(P).max(initial=0))) + 1
+    w = W ** np.arange(n, dtype=np.int64)
+    by_size = {}
     for group in by_shell.values():
-        shell = group[0].shell
-        if len(group) != len(shell):
+        if len(group) != len(group[0].shell):
             raise ValueError("basis does not span a shell")
-        C = np.vstack([psi.amplitudes for psi in group])
-        gram = TWO_PI**n * (C @ C.conj().T)
-        if np.abs(gram - np.eye(len(group))).max() > 1e-8:
-            raise NumericalSignal(
-                "non-orthonormal-basis", f"shell m={shell.radius_squared}"
-            )
-        idx = shell.index()
-        vals = np.zeros(len(group), dtype=complex)
-        for p, ap in ahat.items():
-            # moment_j(-p) = sum_k c_k conj(c_{k+p})
-            pairs = [
-                (i, idx[tuple(ka + pa for ka, pa in zip(k, p))])
-                for i, k in enumerate(shell.vectors)
-                if tuple(ka + pa for ka, pa in zip(k, p)) in idx
-            ]
-            if not pairs:
-                continue
-            ii = np.fromiter((q[0] for q in pairs), dtype=np.int64)
-            jj = np.fromiter((q[1] for q in pairs), dtype=np.int64)
-            vals += ap * TWO_PI**n * (C[:, ii] * C[:, jj].conj()).sum(axis=1)
-        total += float((np.abs(vals) ** 2).sum())
+        by_size.setdefault(len(group), []).append(group)
+    total = 0.0
+    batches = (
+        (s, same[at : at + 16]) for s, same in by_size.items() for at in range(0, len(same), 16)
+    )
+    for s, groups in batches:
+        # up to 16 shells of equal size form one batch: C[g, t, i] is the
+        # amplitude of state t of shell g at its vector k_i, K[g, i] its key
+        C = np.array([[psi.amplitudes for psi in group] for group in groups])
+        gram = TWO_PI**n * (C @ C.conj().transpose(0, 2, 1))
+        bad = np.flatnonzero(np.abs(gram - np.eye(s)).max(axis=(1, 2)) > 1e-8)
+        if bad.size:
+            m = groups[bad[0]][0].shell.radius_squared
+            raise NumericalSignal("non-orthonormal-basis", f"shell m={m}")
+        K = np.array([group[0].shell.vectors for group in groups], dtype=np.int64) @ w
+        # hit[g, q, i, j] says k_i + p_q = k_j, so (C @ hit)[g, q, t, j] is
+        # the amplitude at k_j - p_q, and moments[g, q, t] = moment_t(-p_q)
+        hit = (K[:, None, :] + (P @ w)[:, None])[..., None] == K[:, None, None, :]
+        moments = ((C[:, None] @ hit) * C[:, None].conj()).sum(axis=3)
+        total += float((np.abs(np.einsum("q,gqt->gt", coef, moments)) ** 2).sum())
     return total / expected
 
 

@@ -101,8 +101,8 @@ def test_l4_moment_sums_against_density_moments():
         V = np.asarray(shell.vectors)
         diffs = {tuple(d) for d in (V[:, None, :] - V[None, :, :]).reshape(-1, 2)}
         C = _l4_states(shell, m)
-        got = _kernels.l4_moment_sums(C)
-        X = (np.abs(C) ** 2).sum(axis=1)
+        got, X = _kernels.l4_moment_sums(C)
+        assert np.allclose(X, (np.abs(C) ** 2).sum(axis=1), rtol=1e-14, atol=0)
         for b in range(len(C)):
             psi = torus.TorusEigenfunction(shell, C[b])
             direct = sum(abs(torus.density_moment(psi, p)) ** 2 for p in diffs)
@@ -117,7 +117,9 @@ def test_l4_moment_sums_against_density_moments():
 def test_l4_moment_sums_zero_shell():
     # on m = 0 the only vector is k = 0 = -k, and |psi|^4 is constant
     c = np.array([[0.3 - 0.4j]])
-    assert _kernels.l4_moment_sums(c)[0] == pytest.approx(0.25**2, rel=1e-15)
+    S, X = _kernels.l4_moment_sums(c)
+    assert S[0] == pytest.approx(0.25**2, rel=1e-15)
+    assert X[0] == pytest.approx(0.25, rel=1e-15)
 
 
 def _husimi_bank(N, G, squeeze):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import lattice
+from semiclab import experiments, lattice
 from semiclab._errors import NumericalSignal
 
 
@@ -55,6 +55,34 @@ def test_enumerate_shell_validation():
         lattice.enumerate_shell(-1, 2)
     with pytest.raises(ValueError):
         lattice.enumerate_shell(4, 0)
+    with pytest.raises(ValueError):
+        lattice.shells_2d(-1)
+
+
+def test_shells_2d_matches_enumerate_shell():
+    # the sieve against the per-m reference: same vectors, same order
+    shells = list(lattice.shells_2d(2000))
+    assert [s.radius_squared for s in shells] == list(range(2001))
+    for m, shell in enumerate(shells):
+        assert shell == lattice.enumerate_shell(m, 2), m
+        assert list(shell.vectors) == sorted(shell.vectors), m
+        V = np.asarray(shell.vectors, dtype=np.int64).reshape(-1, 2)
+        assert np.array_equal(V[::-1], -V), m
+    for M in (0, 1, 2, 3, 24, 25, 26, 1999):
+        assert list(lattice.shells_2d(M)) == shells[: M + 1], M
+
+
+def test_jarnik_pair_scan_against_pair_degeneracy():
+    report = experiments.run_experiment(
+        "lattice-jarnik", {"max_m": 300, "radii_squared": [25], "arcs_per_radius": 10}
+    )
+    slow = 0
+    for m in range(1, 301):
+        shell = lattice.enumerate_shell(m, 2)
+        diffs = {(a - c, b - d) for a, b in shell.vectors for c, d in shell.vectors}
+        for p in diffs - {(0, 0)}:
+            slow = max(slow, lattice.pair_degeneracy(shell, p))
+    assert report["outputs"]["max_pair_degeneracy"] == slow
 
 
 def test_count_in_ball_shell_sums():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import lattice, torus
+from semiclab import experiments, lattice, torus
 from semiclab._errors import NumericalSignal
 
 TWO_PI = 2.0 * math.pi
@@ -90,6 +90,29 @@ def test_l4_batch_matches_exact_l4():
         assert batch[i] == pytest.approx(torus.exact_l4(psi), rel=1e-12)
 
 
+def test_l4_batch_matches_direct_moment_sum():
+    # slow reference on the largest shell of the L4 sweep:
+    # (2pi)^2 sum_p |density_moment(psi, p)|^2 over every difference p
+    shell = lattice.enumerate_shell(5525, 2)
+    assert len(shell) == 48
+    batch = torus.l4_batch(shell, 2, seed=(42, 5525))
+    rng = np.random.default_rng((42, 5525))
+    C = rng.standard_normal((2, 48)) + 1j * rng.standard_normal((2, 48))
+    V = np.asarray(shell.vectors)
+    diffs = {tuple(d) for d in (V[:, None, :] - V[None, :, :]).reshape(-1, 2)}
+    for i in range(2):
+        psi = torus.TorusEigenfunction(shell, C[i] / (TWO_PI * np.linalg.norm(C[i])))
+        direct = TWO_PI**2 * sum(abs(torus.density_moment(psi, p)) ** 2 for p in diffs)
+        assert batch[i] == pytest.approx(direct, rel=1e-12)
+
+
+def test_l4_batch_rejects_empty_batch():
+    with pytest.raises(ValueError, match="n_states"):
+        torus.l4_batch(shell25(), 0, seed=0)
+    with pytest.raises(ValueError, match="n_states"):
+        experiments.run_experiment("torus-l4-sweep", {"max_m": 5, "states_per_shell": 0})
+
+
 def test_exact_l4_dimension_guard():
     shell3 = lattice.enumerate_shell(1, 3)
     c = np.full(6, 1.0 / (math.sqrt(6) * TWO_PI ** 1.5), dtype=complex)
@@ -140,17 +163,26 @@ def test_flow_profile_generic_phase():
 
 
 def test_quantum_variance_cross_check():
-    # against an explicit wigner loop over the same basis
-    M = 25
-    basis = []
-    for m in range(1, M + 1):
-        shell = lattice.enumerate_shell(m, 2)
-        if len(shell):
-            basis.extend(torus.random_shell_basis(shell, (5, m)))
-    a = torus.cosine_symbol((1, 1), 1.0 / math.pi)
-    v = torus.quantum_variance(basis, a)
-    brute = np.mean([abs(torus.wigner(psi, a)) ** 2 for psi in basis])
-    assert v == pytest.approx(float(brute), rel=1e-10)
+    # against an explicit wigner loop over the same basis; momenta p reach
+    # past every shell, and chords p of a shell have |p|^2 even, so the odd
+    # ones never pair up; at M = 65 and 6, math.sqrt(M) rounds below the root
+    a2 = torus.TorusSymbol({
+        (1, 1): 0.3 + 0j, (2, 0): 0.2j, (1, -1): 0.1 - 0.05j, (4, 2): 0.07 + 0j,
+        (0, 12): 0.05j, (3, -2): 0.2 + 0j, (0, 0): 5.0 + 0j,
+    })
+    a3 = torus.TorusSymbol({
+        (1, 0, -1): 0.5 + 0j, (0, 2, 0): 0.25j, (-4, 0, 0): 0.1 - 0.1j, (0, 2, 1): 1.0 + 0j,
+    })
+    for M, n, a in ((25, 2, torus.cosine_symbol((1, 1), 1.0 / math.pi)), (65, 2, a2), (6, 3, a3)):
+        basis = []
+        for m in range(1, M + 1):
+            shell = lattice.enumerate_shell(m, n)
+            if len(shell):
+                basis.extend(torus.random_shell_basis(shell, (5, m)))
+        v = torus.quantum_variance(basis, a)
+        mean = a.terms.get((0,) * n, 0.0)
+        brute = np.mean([abs(torus.wigner(psi, a) - mean) ** 2 for psi in basis])
+        assert v == pytest.approx(float(brute), rel=1e-10), (M, n)
 
 
 def test_quantum_variance_guards():
