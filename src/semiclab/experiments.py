@@ -1,10 +1,13 @@
-"""Named, seeded experiments with JSON reports and CSV sidecars.
+"""Named, seeded experiments with JSON reports and CSV tables.
 
-Every experiment is registered with documented defaults and a note on which
-acceptance checks it covers. run_experiment merges config overrides over the
-defaults (unknown keys are rejected), executes, writes any data files, and
-returns a report dict. For a fixed config the report content is
-deterministic except for the wall-time field.
+Every experiment is registered with documented defaults and the acceptance
+checks it covers. Its runner is a function of the config alone,
+fn(cfg) -> (outputs, passed, tables), and writes no file: tables maps each
+CSV file name to (header, rows). run_experiment merges config overrides over
+the defaults (unknown keys are rejected), runs the experiment and returns a
+report dict; given an output directory, it writes the tables there with the
+one CSV writer, then `<name>-report.json`. For a fixed config the report
+content is deterministic except for the wall-time field.
 """
 
 import cmath
@@ -60,7 +63,9 @@ def _shells(max_m):
     return (s for s in lattice.shells_2d(max_m) if s.radius_squared and len(s))
 
 
-def _run_l4_sweep(cfg, out_dir):
+def _run_l4_sweep(cfg):
+    if cfg["max_m"] < 1:
+        raise ValueError(f"max_m must be >= 1: {cfg['max_m']}")
     bound = 3.0 / TWO_PI**2
     rows = []
     best_val, best_m = 0.0, 0
@@ -71,22 +76,23 @@ def _run_l4_sweep(cfg, out_dir):
         rows.append((m, len(shell), top))
         if top > best_val:
             best_val, best_m = top, m
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "l4-sweep.csv"),
-            ("radius_squared", "shell_size", "max_l4"),
-            rows,
-        )
     outputs = {
         "bound": bound,
         "max_l4": best_val,
         "argmax_radius_squared": best_m,
         "shells": len(rows),
     }
-    return outputs, best_val <= bound + 1e-12
+    tables = {"l4-sweep.csv": (("radius_squared", "shell_size", "max_l4"), rows)}
+    return outputs, best_val <= bound + 1e-12, tables
 
 
-def _run_jarnik(cfg, out_dir):
+def _run_jarnik(cfg):
+    if cfg["max_m"] < 1:
+        raise ValueError(f"max_m must be >= 1: {cfg['max_m']}")
+    if not cfg["radii_squared"] or min(cfg["radii_squared"]) < 1:
+        raise ValueError(f"radii_squared must be nonempty, all >= 1: {cfg['radii_squared']}")
+    if cfg["arcs_per_radius"] < 1:
+        raise ValueError(f"arcs_per_radius must be >= 1: {cfg['arcs_per_radius']}")
     worst_pair = 0
     # key(k) = k1 W + k2 is additive, and injective on the differences,
     # whose entries are at most 2 isqrt(max_m) in size
@@ -101,36 +107,26 @@ def _run_jarnik(cfg, out_dir):
     rows = []
     for m in cfg["radii_squared"]:
         shell = lattice.enumerate_shell(m, 2)
-        v = np.asarray(shell.vectors, dtype=float)
         T = math.sqrt(m)
         ell = (2.0 * T) ** (1.0 / 3.0)
-        half = ell / (2.0 * T)
-        ang = np.arctan2(v[:, 1], v[:, 0])
         thetas = rng.uniform(0.0, TWO_PI, cfg["arcs_per_radius"])
-        # blocks of 1024 arcs keep the (arcs, s) temporaries small
-        mx = max(
-            int((np.abs((ang - th[:, None] + math.pi) % TWO_PI - math.pi) <= half)
-                .sum(axis=1).max())
-            for th in np.split(thetas, range(1024, len(thetas), 1024))
-        )
+        mx = int(lattice.arc_counts(shell, thetas, ell / (2.0 * T)).max())
         rows.append((m, len(shell), ell, mx))
         worst_arc = max(worst_arc, mx)
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "jarnik-arcs.csv"),
-            ("radius_squared", "shell_size", "arc_length", "max_count"),
-            rows,
-        )
     outputs = {
         "max_pair_degeneracy": worst_pair,
         "max_arc_count": worst_arc,
         "radii_squared": list(cfg["radii_squared"]),
     }
-    return outputs, worst_pair <= 2 and worst_arc <= 2
+    header = ("radius_squared", "shell_size", "arc_length", "max_count")
+    passed = worst_pair <= 2 and worst_arc <= 2
+    return outputs, passed, {"jarnik-arcs.csv": (header, rows)}
 
 
-def _run_variance(cfg, out_dir):
+def _run_variance(cfg):
     caps = tuple(cfg["shell_caps"])
+    if len(set(caps)) < 2:
+        raise ValueError(f"shell_caps needs two distinct caps for a slope: {list(caps)}")
     symbols = [torus.cosine_symbol(p, 1.0 / math.pi) for p in VARIANCE_MOMENTA]
     table = np.empty((len(caps), len(symbols)))
     sizes = []
@@ -147,22 +143,21 @@ def _run_variance(cfg, out_dir):
         float(np.polyfit(np.log(hbars), np.log(table[:, c]), 1)[0])
         for c in range(len(symbols))
     ]
-    if out_dir:
-        header = ("shell_cap", "hbar") + tuple(
-            f"variance_cos_{p[0]}_{p[1]}" for p in VARIANCE_MOMENTA
-        )
-        rows = [
-            (M, float(h)) + tuple(float(x) for x in table[r])
-            for r, (M, h) in enumerate(zip(caps, hbars))
-        ]
-        _write_csv(os.path.join(out_dir, "variance-rate.csv"), header, rows)
+    header = ("shell_cap", "hbar") + tuple(
+        f"variance_cos_{p[0]}_{p[1]}" for p in VARIANCE_MOMENTA
+    )
+    rows = [
+        (M, float(h)) + tuple(float(x) for x in table[r])
+        for r, (M, h) in enumerate(zip(caps, hbars))
+    ]
     outputs = {
         "momenta": [list(p) for p in VARIANCE_MOMENTA],
         "slopes": slopes,
         "basis_sizes": sizes,
         "max_variance_over_hbar": float((table / hbars[:, None]).max()),
     }
-    return outputs, all(s >= 0.9 for s in slopes)
+    passed = all(s >= 0.9 for s in slopes)
+    return outputs, passed, {"variance-rate.csv": (header, rows)}
 
 
 def _direct_flowed_element(psi, p, t):
@@ -181,7 +176,9 @@ def _direct_flowed_element(psi, p, t):
     return complex(total * TWO_PI**2)
 
 
-def _run_torus_egorov(cfg, out_dir):
+def _run_torus_egorov(cfg):
+    if cfg["trials"] < 1:
+        raise ValueError(f"trials must be >= 1: {cfg['trials']}")
     rng = np.random.default_rng(cfg["seed"])
     shells = list(_shells(cfg["max_m"]))
     worst_match = 0.0
@@ -219,21 +216,23 @@ def _run_torus_egorov(cfg, out_dir):
         and worst_invariance == 0.0
         and nonzero_elements >= cfg["trials"] // 4
     )
-    return outputs, passed
+    return outputs, passed, {}
 
 
-def _run_weyl(cfg, out_dir):
+def _run_weyl(cfg):
     lam_max = float(cfg["lam_max"])
     step = float(cfg["step"])
+    if step <= 0:
+        raise ValueError(f"step must be > 0: {cfg['step']}")
     lams = [step * i for i in range(1, int(round(lam_max / step)) + 1)]
     models = {
         "torus-2": spectra.SpectrumModel("torus-n", 2),
         "sphere-2": spectra.SpectrumModel("sphere-2"),
     }
-    ratios = {}
+    header = ("lambda", "count", "leading", "remainder")
+    tables, ratios = {}, {}
     for tag, model in models.items():
-        if out_dir:
-            spectra.write_weyl_csv(os.path.join(out_dir, f"weyl-{tag}.csv"), model, lams)
+        tables[f"weyl-{tag}.csv"] = (header, spectra.weyl_table(model, lams))
         nc = spectra.counting_function(model, lam_max)
         lead = spectra.weyl_leading_term(model, lam_max)
         ratios[tag] = abs(nc - lead) / lead
@@ -246,10 +245,12 @@ def _run_weyl(cfg, out_dir):
         "rows": len(lams),
     }
     passed = t10 == 317 and s10 == 100 and all(v <= 0.05 for v in ratios.values())
-    return outputs, passed
+    return outputs, passed, tables
 
 
-def _run_sphere_concentration(cfg, out_dir):
+def _run_sphere_concentration(cfg):
+    if len(cfg["band_ls"]) < 2:
+        raise ValueError(f"band_ls needs two degrees to test a decrease: {cfg['band_ls']}")
     worst_kernel = 0.0
     for l in range(cfg["kernel_lmax"] + 1):
         diag = sphere.reproducing_kernel_diag(l)
@@ -267,12 +268,6 @@ def _run_sphere_concentration(cfg, out_dir):
         medians.append(rec["median_sup"])
         rows.append((l, rec["median_sup"], rec["threshold"], rec["exceed_fraction"]))
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "sphere-concentration.csv"),
-            ("degree", "median_sup", "threshold", "exceed_fraction"),
-            rows,
-        )
     outputs = {
         "worst_kernel_error": worst_kernel,
         "worst_equator_error": worst_equator,
@@ -280,10 +275,16 @@ def _run_sphere_concentration(cfg, out_dir):
         "band_ls": list(cfg["band_ls"]),
     }
     passed = worst_kernel <= 1e-8 and worst_equator <= 1e-10 and decreasing
-    return outputs, passed
+    header = ("degree", "median_sup", "threshold", "exceed_fraction")
+    return outputs, passed, {"sphere-concentration.csv": (header, rows)}
 
 
-def _run_weinstein(cfg, out_dir):
+def _run_weinstein(cfg):
+    if len(cfg["band_ls"]) < 2:
+        raise ValueError(f"band_ls needs two degrees to test a decrease: {cfg['band_ls']}")
+    if cfg["band_check_l"] not in cfg["band_ls"]:
+        raise ValueError(f"band_check_l must be one of band_ls {cfg['band_ls']}: "
+                         f"{cfg['band_check_l']}")
     L = cfg["L"]
     D = (L + 1) ** 2
     rng = np.random.default_rng(cfg["seed"])
@@ -311,12 +312,6 @@ def _run_weinstein(cfg, out_dir):
                 eigs.min() >= lo - 3.0 / l and eigs.max() <= hi + 3.0 / l
             )
     decreasing = all(a > b for a, b in zip(dhs, dhs[1:]))
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "weinstein-band.csv"),
-            ("degree", "min_eig", "max_eig", "range_lo", "range_hi", "hausdorff"),
-            rows,
-        )
     outputs = {
         "exact_projection": exact,
         "hausdorff_distances": dhs,
@@ -324,10 +319,15 @@ def _run_weinstein(cfg, out_dir):
         "band_check_l": cfg["band_check_l"],
         "band_within_margin": band_ok,
     }
-    return outputs, exact and band_ok and decreasing
+    header = ("degree", "min_eig", "max_eig", "range_lo", "range_hi", "hausdorff")
+    passed = exact and band_ok and decreasing
+    return outputs, passed, {"weinstein-band.csv": (header, rows)}
 
 
-def _run_catmap_egorov(cfg, out_dir):
+def _run_catmap_egorov(cfg):
+    if not cfg["egorov_ns"] or cfg["period_max_n"] < 1:
+        raise ValueError("egorov_ns must be nonempty and period_max_n >= 1: "
+                         f"{cfg['egorov_ns']}, {cfg['period_max_n']}")
     A = standard_map()
     worst = 0.0
     for N in cfg["egorov_ns"]:
@@ -355,12 +355,6 @@ def _run_catmap_egorov(cfg, out_dir):
             (N, catmap.classical_period_mod(A, N), rec["period"],
              rec["phase"].real, rec["phase"].imag)
         )
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "catmap-periods.csv"),
-            ("N", "classical_period", "quantum_period", "phase_re", "phase_im"),
-            rows,
-        )
     outputs = {
         "worst_egorov_error": worst,
         "classical_period_mod_5": catmap.classical_period_mod(A, 5),
@@ -368,10 +362,13 @@ def _run_catmap_egorov(cfg, out_dir):
         "periods_missed": missed,
     }
     passed = worst <= 1e-10 and cpm_ok and not missed
-    return outputs, passed
+    header = ("N", "classical_period", "quantum_period", "phase_re", "phase_im")
+    return outputs, passed, {"catmap-periods.csv": (header, rows)}
 
 
-def _run_scar(cfg, out_dir):
+def _run_scar(cfg):
+    if not cfg["n_values"]:
+        raise ValueError("n_values must be nonempty")
     A = standard_map()
     rows = []
     mass_ok = far_ok = resid_ok = True
@@ -392,12 +389,6 @@ def _run_scar(cfg, out_dir):
         mass_ok &= 0.3 <= m0 <= 0.7
         far_ok &= far <= 0.15
         resid_ok &= rec["residual"] <= 1e-6
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "scar-masses.csv"),
-            ("N", "quantum_period", "mass_at_origin", "max_far_mass", "residual"),
-            rows,
-        )
     outputs = {
         "n_values": list(cfg["n_values"]),
         "masses_at_origin": [r[2] for r in rows],
@@ -407,10 +398,12 @@ def _run_scar(cfg, out_dir):
         "far_mass_ok": bool(far_ok),
         "residual_ok": bool(resid_ok),
     }
-    return outputs, bool(mass_ok and far_ok and resid_ok)
+    header = ("N", "quantum_period", "mass_at_origin", "max_far_mass", "residual")
+    passed = bool(mass_ok and far_ok and resid_ok)
+    return outputs, passed, {"scar-masses.csv": (header, rows)}
 
 
-def _run_entropy(cfg, out_dir):
+def _run_entropy(cfg):
     A = standard_map()
     chi = A.lyapunov_exponent()
     eps, T = cfg["epsilon"], cfg["horizon"]
@@ -436,10 +429,10 @@ def _run_entropy(cfg, out_dir):
         and fix <= 0.05
         and abs(mix / (chi / 2.0) - 1.0) <= 0.20
     )
-    return outputs, passed
+    return outputs, passed, {}
 
 
-def _run_pressure(cfg, out_dir):
+def _run_pressure(cfg):
     from fractions import Fraction
 
     A = standard_map()
@@ -463,15 +456,18 @@ def _run_pressure(cfg, out_dir):
         and root_shifted == 1.0
         and abs(root_mid - 0.5) <= 1e-9
     )
-    return outputs, passed
+    return outputs, passed, {}
 
 
-def _run_partition(cfg, out_dir):
+def _run_partition(cfg):
+    lo, hi = cfg["window"]
+    if not 2 <= lo <= hi <= cfg["max_word"]:
+        # the increment at word length 1 is NaN
+        raise ValueError(f"window must satisfy 2 <= lo <= hi <= max_word: {[lo, hi]}")
     A = standard_map()
     chi = A.lyapunov_exponent()
     Q = catmap.propagator(A, cfg["n"])
     parts = catmap.smooth_half_cutoff(cfg["n"], cfg["width"])
-    lo, hi = cfg["window"]
     norms = []
     rows = []
     increments = []
@@ -488,23 +484,18 @@ def _run_partition(cfg, out_dir):
     n2 = catmap.partition_product_norm(Q, parts, w2)
     n12 = catmap.partition_product_norm(Q, parts, w1 + w2)
     submult_ok = n12 <= n1 * n2 + 1e-10
-    if out_dir:
-        _write_csv(
-            os.path.join(out_dir, "partition-decay.csv"),
-            ("word_length", "norm", "log_norm", "increment"),
-            rows,
-        )
     outputs = {
         "per_step_increments": increments,
         "target": -chi / 2.0,
         "window": [lo, hi],
         "submultiplicative_triple": [n1, n2, n12],
     }
-    return outputs, window_ok and submult_ok
+    header = ("word_length", "norm", "log_norm", "increment")
+    return outputs, window_ok and submult_ok, {"partition-decay.csv": (header, rows)}
 
 
 class Experiment(NamedTuple):
-    fn: Callable
+    fn: Callable  # cfg -> (outputs, passed, {csv file name: (header, rows)})
     description: str
     defaults: dict
     criteria: tuple
@@ -591,20 +582,7 @@ REGISTRY = {
 }
 
 # acceptance check -> experiment exercising it
-CRITERIA = {
-    1: "torus-l4-sweep",
-    2: "lattice-jarnik",
-    3: "torus-variance-rate",
-    4: "torus-egorov",
-    5: "weyl-table",
-    6: "sphere-concentration",
-    7: "sphere-weinstein",
-    8: "catmap-egorov-periods",
-    9: "catmap-scar",
-    10: "entropy-oracle",
-    11: "pressure-bowen",
-    12: "partition-decay",
-}
+CRITERIA = {n: name for name, exp in REGISTRY.items() for n in exp.criteria}
 
 
 def experiment_names():
@@ -615,9 +593,9 @@ def run_experiment(name, overrides=None, out_dir=None):
     """Run one named experiment and return its report dict.
 
     overrides must only contain keys present in the experiment defaults.
-    When out_dir is given, data files and `<name>-report.json` are written
-    there; the report content is deterministic for a fixed config apart
-    from wall_time_s.
+    When out_dir is given, the experiment's CSV tables and then
+    `<name>-report.json` are written there; the report content is
+    deterministic for a fixed config apart from wall_time_s.
     """
     if name not in REGISTRY:
         raise ValueError(f"unknown experiment {name!r}; see experiment_names()")
@@ -630,7 +608,10 @@ def run_experiment(name, overrides=None, out_dir=None):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    outputs, passed = exp.fn(cfg, out_dir)
+    outputs, passed, tables = exp.fn(cfg)
+    if out_dir:
+        for file_name, (header, rows) in tables.items():
+            _write_csv(os.path.join(out_dir, file_name), header, rows)
     report = {
         "experiment": name,
         "inputs": cfg,

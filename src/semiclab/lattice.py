@@ -1,9 +1,9 @@
 """Exact integer lattice arithmetic.
 
 Shell enumeration, ball counting, pair-degeneracy counts, and lattice
-points on circular arcs. All membership decisions use exact integer
-arithmetic; floats only enter through arc endpoint directions, never
-through point membership on the circle itself.
+points on circular arcs. Membership in a shell or a ball is decided in
+exact integer arithmetic; floats enter only in arc counts, which compare
+each shell point's angle with the arc's center.
 
 `enumerate_shell` builds one shell of Z^n by a per-m loop; it is the exact
 reference. `shells_2d` builds every shell of Z^2 up to M in one sieve pass:
@@ -120,12 +120,29 @@ def pair_degeneracy(shell, p):
     return sum(1 for k in shell.vectors if tuple(a - b for a, b in zip(k, p)) in members)
 
 
+def arc_counts(shell, centers, half):
+    """Points of a 2-D shell within angle half of each arc center (radians).
+
+    Returns one count per center. A point counts when its angle lies within
+    half of the center, measured the short way round the circle, so half >= pi
+    counts the whole shell.
+    """
+    v = np.asarray(shell.vectors, dtype=float).reshape(-1, 2)
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    centers = np.asarray(centers, dtype=float)
+    # blocks of 1024 arcs keep the (arcs, s) temporaries small
+    return np.concatenate([
+        (np.abs((ang - th[:, None] + math.pi) % (2 * math.pi) - math.pi) <= half)
+        .sum(axis=1)
+        for th in np.split(centers, range(1024, len(centers), 1024))
+    ])
+
+
 def arc_lattice_count(radius, center_angle, arc_length):
     """Integer points on the circle of the given radius within a closed arc.
 
     The radius must square to an integer (else there are no lattice points
-    and the count is 0). Membership in the arc is decided by cross products
-    against the endpoint directions, not by per-point angles.
+    and the count is 0). Points are counted by arc_counts.
     """
     if arc_length <= 0:
         raise NumericalSignal("invalid-arc", "arc_length must be positive")
@@ -136,24 +153,4 @@ def arc_lattice_count(radius, center_angle, arc_length):
     if abs(r2 - m) > 1e-9 * max(1.0, r2):
         return 0
     shell = enumerate_shell(m, 2)
-    if len(shell) == 0:
-        return 0
-    span = arc_length / radius
-    if span >= 2 * math.pi:
-        return len(shell)
-    half = span / 2.0
-    ca, sa = math.cos(center_angle - half), math.sin(center_angle - half)
-    cb, sb = math.cos(center_angle + half), math.sin(center_angle + half)
-    count = 0
-    for k1, k2 in shell.vectors:
-        # cross(e1, k) >= 0 and cross(k, e2) >= 0 puts k in the CCW wedge
-        c1 = ca * k2 - sa * k1
-        c2 = k1 * sb - k2 * cb
-        if span <= math.pi:
-            inside = c1 >= 0.0 and c2 >= 0.0
-        else:
-            # complement of the short wedge from e2 to e1
-            inside = not (c1 < 0.0 and c2 < 0.0)
-        if inside:
-            count += 1
-    return count
+    return int(arc_counts(shell, [center_angle], arc_length / radius / 2.0)[0])

@@ -1,6 +1,5 @@
 """Eigenvalue counting and Weyl leading terms for flat tori and the round sphere."""
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,14 +58,4 @@ def weyl_table(model, lams):
         nc = counting_function(model, lam)
         lead = weyl_leading_term(model, lam)
         rows.append((lam, nc, lead, nc - lead))
-    return rows
-
-
-def write_weyl_csv(path, model, lams):
-    rows = weyl_table(model, lams)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "count", "leading", "remainder"])
-        for lam, nc, lead, rem in rows:
-            w.writerow([repr(float(lam)), nc, repr(lead), repr(rem)])
     return rows

@@ -280,6 +280,8 @@ def directional_filter(psi, xi0, R, cutoff="sharp"):
         raise NumericalSignal("unsupported-dimension", "directional_filter needs n = 2")
     if R <= 0:
         raise ValueError("need R > 0")
+    if cutoff not in _CUTOFFS:
+        raise ValueError(f"unknown cutoff {cutoff!r}; expected one of {sorted(_CUTOFFS)}")
     v = np.asarray(xi0, dtype=float)
     vr = np.round(v)
     if not np.all(np.abs(v - vr) <= 1e-9 * max(1.0, float(np.abs(v).max()))):

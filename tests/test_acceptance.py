@@ -16,6 +16,8 @@ def _run_check(n, tmp_path):
 
 
 def test_registry_covers_all_checks():
+    # CRITERIA is derived from the registry, where a duplicate would collapse
+    assert sum(len(exp.criteria) for exp in experiments.REGISTRY.values()) == 12
     assert sorted(experiments.CRITERIA) == list(range(1, 13))
     assert sorted(set(experiments.CRITERIA.values())) == experiments.experiment_names()
     for n, name in experiments.CRITERIA.items():

@@ -98,6 +98,20 @@ def test_usage_errors_exit_1(tmp_path):
                 "--out", str(tmp_path)).returncode == 1
 
 
+def test_invalid_config_value_exits_1(tmp_path):
+    # each of these used to end in a traceback from deep inside the run
+    for name, bad in (("lattice-jarnik", {"radii_squared": [0]}),
+                      ("weyl-table", {"step": 0})):
+        cfg = tmp_path / "bad-value.json"
+        cfg.write_text(json.dumps(bad), encoding="utf-8")
+        proc = _cli("run", "--experiment", name, "--config", str(cfg),
+                    "--out", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("semiclab: "), proc.stderr
+        assert next(iter(bad)) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_fixture_failure_exits_2(tmp_path):
     # starved sample budget saturates the entropy estimate far from its target
     cfg = tmp_path / "small.json"

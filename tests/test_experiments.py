@@ -1,0 +1,76 @@
+"""Experiment runners: config validation, where files are written, and who writes them."""
+
+import ast
+import pathlib
+
+import pytest
+
+from semiclab import experiments
+
+SRC = pathlib.Path(experiments.__file__).parent
+
+
+@pytest.mark.parametrize(
+    "name, overrides, key",
+    [
+        # configs that used to crash with an error naming no key
+        ("lattice-jarnik", {"radii_squared": [0]}, "radii_squared"),
+        ("lattice-jarnik", {"arcs_per_radius": 0}, "arcs_per_radius"),
+        ("weyl-table", {"step": 0}, "step"),
+        # configs on which the check used to pass with nothing tested
+        ("partition-decay", {"window": [20, 30]}, "window"),
+        ("partition-decay", {"window": [9, 8]}, "window"),
+        ("torus-egorov", {"trials": 0}, "trials"),
+        ("torus-variance-rate", {"shell_caps": [25]}, "shell_caps"),
+        ("torus-variance-rate", {"shell_caps": [25, 25]}, "shell_caps"),
+        ("lattice-jarnik", {"radii_squared": []}, "radii_squared"),
+        ("lattice-jarnik", {"max_m": 0}, "max_m"),
+        ("torus-l4-sweep", {"max_m": 0}, "max_m"),
+        ("catmap-scar", {"n_values": []}, "n_values"),
+        ("catmap-egorov-periods", {"egorov_ns": []}, "egorov_ns"),
+        ("catmap-egorov-periods", {"period_max_n": 0}, "period_max_n"),
+        ("sphere-concentration", {"band_ls": [20]}, "band_ls"),
+        ("sphere-weinstein", {"band_ls": [40]}, "band_ls"),
+        # checks that could never pass
+        ("sphere-weinstein", {"band_check_l": 30}, "band_check_l"),
+        ("partition-decay", {"window": [1, 11]}, "window"),
+    ],
+)
+def test_config_rejected_naming_the_key(name, overrides, key):
+    with pytest.raises(ValueError, match=key):
+        experiments.run_experiment(name, overrides)
+
+
+def test_no_out_dir_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = experiments.run_experiment("weyl-table", {"lam_max": 20.0})
+    assert report["pass"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def _write_modes(tree):
+    # mode strings of every open(...) call; None when the mode is not a literal
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None:
+                yield "r"
+            elif isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+                yield mode.value
+            else:
+                yield None
+
+
+def test_only_experiments_writes_files():
+    others = [p for p in sorted(SRC.glob("*.py")) if p.name != "experiments.py"]
+    assert "cli.py" in {p.name for p in others}
+    for path in others:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names}
+        imports |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "csv" not in imports, path.name
+        for mode in _write_modes(tree):
+            assert mode is not None and not set(mode) & set("wax+"), (path.name, mode)

@@ -146,18 +146,45 @@ def test_arc_lattice_count_tiny_arc():
     assert lattice.arc_lattice_count(5.0, ang + 0.2, 1e-6) == 0
 
 
+def cross_product_arc_count(shell, center_angle, span):
+    # slow reference: wedge membership by cross products against the two
+    # endpoint directions, no per-point angles
+    if span >= 2 * math.pi:
+        return len(shell)
+    ca, sa = math.cos(center_angle - span / 2), math.sin(center_angle - span / 2)
+    cb, sb = math.cos(center_angle + span / 2), math.sin(center_angle + span / 2)
+    count = 0
+    for k1, k2 in shell.vectors:
+        # cross(e1, k) >= 0 and cross(k, e2) >= 0 puts k in the CCW wedge
+        c1 = ca * k2 - sa * k1
+        c2 = k1 * sb - k2 * cb
+        if span <= math.pi:
+            inside = c1 >= 0.0 and c2 >= 0.0
+        else:
+            # complement of the short wedge from e2 to e1
+            inside = not (c1 < 0.0 and c2 < 0.0)
+        count += inside
+    return count
+
+
 def test_arc_lattice_count_matches_angle_sweep():
-    m = 325
-    shell = lattice.enumerate_shell(m, 2)
-    v = np.asarray(shell.vectors, dtype=float)
-    ang = np.arctan2(v[:, 1], v[:, 0])
-    R = math.sqrt(m)
     rng = np.random.default_rng(3)
-    for theta in rng.uniform(0.0, 2 * math.pi, 50):
-        L = 2.0
-        half = L / (2 * R)
-        d = np.abs((ang - theta + math.pi) % (2 * math.pi) - math.pi)
-        assert lattice.arc_lattice_count(R, theta, L) == int((d <= half).sum())
+    for m in (325, 5525):
+        shell = lattice.enumerate_shell(m, 2)
+        R = math.sqrt(m)
+        thetas = rng.uniform(0.0, 2 * math.pi, 50)
+        for span in (0.05, 0.3, 1.0, 3.0, 3.5, 5.0, 6.2, 7.0):
+            counts = lattice.arc_counts(shell, thetas, span / 2)
+            assert counts.shape == thetas.shape
+            for theta, got in zip(thetas, counts):
+                want = cross_product_arc_count(shell, theta, span)
+                assert got == want, (m, span, theta)
+                assert lattice.arc_lattice_count(R, theta, span * R) == want
+    # more than one block of 1024 arcs
+    shell = lattice.enumerate_shell(325, 2)
+    thetas = rng.uniform(0.0, 2 * math.pi, 2500)
+    counts = lattice.arc_counts(shell, thetas, 0.25)
+    assert [cross_product_arc_count(shell, t, 0.5) for t in thetas] == counts.tolist()
 
 
 def test_arc_lattice_count_validation():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from semiclab import spectra
+from semiclab import experiments, spectra
 from semiclab.lattice import count_in_ball
 
 
@@ -80,13 +80,12 @@ def test_weyl_table_rows():
 
 
 def test_weyl_csv_format(tmp_path):
-    path = tmp_path / "weyl.csv"
-    model = spectra.SpectrumModel("torus-n", 2)
-    spectra.write_weyl_csv(path, model, [1.0, 5.0, 10.0])
-    with open(path, newline="") as fh:
+    experiments.run_experiment("weyl-table", {"lam_max": 10.0, "step": 5.0}, tmp_path)
+    with open(tmp_path / "weyl-torus-2.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["lambda", "count", "leading", "remainder"]
     assert all(len(r) == 4 for r in rows)
-    assert int(rows[3][1]) == 317
-    assert float(rows[3][2]) == pytest.approx(100 * math.pi)
-    assert float(rows[3][3]) == 317 - float(rows[3][2])
+    assert [r[0] for r in rows[1:]] == ["5.0", "10.0"]
+    assert int(rows[2][1]) == 317
+    assert float(rows[2][2]) == pytest.approx(100 * math.pi)
+    assert float(rows[2][3]) == 317 - float(rows[2][2])

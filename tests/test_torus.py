@@ -245,6 +245,12 @@ def test_directional_filter_irrational_signal():
         torus.directional_filter(psi, (1.0, math.sqrt(2)), 1.0)
 
 
+def test_directional_filter_unknown_cutoff():
+    psi = torus.random_eigenfunction(shell25(), 41)
+    with pytest.raises(ValueError, match="cutoff 'foo'"):
+        torus.directional_filter(psi, (3, 4), 2.0, cutoff="foo")
+
+
 def test_microlocal_weyl_average_constant():
     avg = torus.microlocal_weyl_average(25, torus.constant_symbol(2.5))
     assert avg == pytest.approx(2.5, abs=1e-12)
