@@ -1,13 +1,12 @@
-"""Hot numerical kernels, one numpy implementation each.
+"""Hot numerical kernels and sampled states, one numpy implementation each.
 
 `bowen_masses` takes Bowen-ball candidates from a sorted x-strip and filters
-them step by step, `l4_moment_sums` evaluates the same-midpoint chord
-identity in O(s) per state, and `husimi_grid` forms coherent-state overlaps
-on the unwrapped Gaussian window of each grid row: the integers n with
-|n - N x_a| <= K, K = ceil(sqrt(40 N / (pi squeeze))), so every dropped term
-is below exp(-40). Overlaps are one (G, L) @ (L, G) product; the squared
-coherent-state norm is sum_k e^{2 pi i N k xi} sum_n g(n) g(n + kN), whose
-k != 0 terms carry the aliasing of windows longer than N.
+them step by step, and `l4_moment_sums` evaluates the same-midpoint chord
+identity in O(s) per state. `_gaussian_window` is the one truncation of the
+periodized Gaussian, cut at exp(-40): `catmap.coherent_state` folds it onto
+Z/N, and `husimi_grid` forms each grid row's overlaps on it, with the exact
+aliased norm. `_haar_unitary` is the one Haar draw on U(d), behind the random
+torus-shell and sphere bases.
 """
 
 import math
@@ -97,43 +96,41 @@ def l4_moment_sums(C):
     return out, X
 
 
-# ------------------------------------------------------------- Husimi grids
+# ------------------------------------------ Gaussian windows and Husimi grids
 
 # Gaussian terms exp(-pi N squeeze u^2) below exp(-_CUTOFF) are dropped.
 _CUTOFF = 40.0
 
 
-def _gauss_reach(N, squeeze):
-    # |u| on the torus beyond which exp(-pi N squeeze u^2) < exp(-_CUTOFF)
-    return math.sqrt(_CUTOFF / (math.pi * N * squeeze))
-
-
-def _theta_width(N, squeeze):
-    # periodization window of a coherent state on the N sites j / N
-    return int(math.ceil(_gauss_reach(N, squeeze))) + 2
+def _gaussian_window(N, c, squeeze):
+    """Unwrapped sites n = ceil(c) - K .. ceil(c) + K and their weights
+    exp(-pi squeeze (n - c)^2 / N), K = ceil(sqrt(_CUTOFF N / (pi squeeze))):
+    every term left out is below exp(-_CUTOFF). c is a scalar or an array
+    of centers, one row each.
+    """
+    K = int(math.ceil(N * math.sqrt(_CUTOFF / (math.pi * N * squeeze))))
+    c = np.asarray(c, dtype=float)
+    n = np.ceil(c).astype(np.int64)[..., None] - K + np.arange(2 * K + 1)
+    g = np.exp(-math.pi * squeeze / N * (n - c[..., None]) ** 2)
+    return n, g
 
 
 def husimi_grid(state, G, squeeze=1.0):
     """|<coherent(x_a, xi_b) | state>|^2 on cell centers; rows index x.
 
-    Row a sees only the sites n with |n - c_a| <= K around c_a = N x_a, where
-    K = ceil(N * _gauss_reach): an (G, L) gather Psi[a, i] = g_a(n) state[n mod N]
-    with n = ceil(c_a) - K + i, L = 2K + 1 and g_a(n) = exp(-pi squeeze
-    (n - c_a)^2 / N). The overlap is then (Psi @ E)[a, b] with
-    E[i, b] = exp(-2 pi i xi_b i), up to a phase of modulus one. The squared
-    norm of the unwrapped coherent state is
+    Row a sees only its Gaussian window about c_a = N x_a: an (G, L) gather
+    Psi[a, i] = g_a(n) state[n mod N] over the window's sites n. The overlap
+    is then (Psi @ E)[a, b] with E[i, b] = exp(-2 pi i xi_b i), up to a phase
+    of modulus one. The squared norm of the unwrapped coherent state is
 
         sum_k e^{2 pi i N k xi_b} sum_n g_a(n) g_a(n + kN),
 
     where the k != 0 terms appear only when L > N and carry its aliasing.
     """
     N = len(state)
-    K = int(math.ceil(N * _gauss_reach(N, squeeze)))
-    L = 2 * K + 1
     grid = (np.arange(G) + 0.5) / G
-    c = N * grid
-    n = np.ceil(c).astype(np.int64)[:, None] - K + np.arange(L)      # (G, L)
-    g = np.exp(-math.pi * squeeze / N * (n - c[:, None]) ** 2)
+    n, g = _gaussian_window(N, N * grid, squeeze)                    # (G, L)
+    L = n.shape[1]
     ovl = (g * state[n % N]) @ np.exp(-2j * math.pi * np.outer(np.arange(L), grid))
     ks = np.arange(-((L - 1) // N), (L - 1) // N + 1)
     C = np.stack([(g[:, : L - abs(k) * N] * g[:, abs(k) * N :]).sum(axis=1) for k in ks], axis=1)
@@ -141,3 +138,12 @@ def husimi_grid(state, G, squeeze=1.0):
     norms2 = C @ np.cos(2.0 * math.pi * N * np.outer(ks, grid))
     H = np.abs(ovl) ** 2 / norms2
     return H / (H.sum() / G**2)
+
+
+# ------------------------------------------------------------------ Haar draw
+
+def _haar_unitary(rng, d):
+    # Ginibre QR with the phases of diag(R) divided out: Haar on U(d)
+    G = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]

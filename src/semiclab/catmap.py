@@ -195,7 +195,7 @@ def quantum_period(Q):
     """Smallest t <= 4 * classical_period_mod(A, 2N) with U^t scalar to 1e-8.
 
     Scalar times can only occur at multiples of the classical period mod N,
-    so only those are tested.
+    so only those are tested. The record holds that classical period too.
     """
     N = Q.N
     t_cl = classical_period_mod(Q.cat, N)
@@ -207,7 +207,7 @@ def quantum_period(Q):
     while t <= bound:
         s = np.trace(W) / N
         if abs(abs(s) - 1.0) <= 1e-8 and float(np.abs(W - s * eye).max()) <= 1e-8:
-            return {"period": t, "phase": complex(s / abs(s))}
+            return {"period": t, "phase": complex(s / abs(s)), "classical_period": t_cl}
         W = W @ P
         t += t_cl
     raise NumericalSignal("period-not-found", f"N={N}: no scalar power below {bound}")
@@ -216,8 +216,11 @@ def quantum_period(Q):
 def coherent_state(N, x0, xi0, squeeze=1.0):
     """Periodized Gaussian wave packet at (x0, xi0), normalized.
 
-    The theta sum drops the terms below exp(-40) ~ 4e-18 (`_kernels._CUTOFF`).
+    `_kernels._gaussian_window` about N x0, folded onto Z/N with the phase
+    e^{2 pi i xi0 (n - N x0)}; the terms below exp(-40) ~ 4e-18 are dropped.
     """
+    if N < 1:
+        raise ValueError("need N >= 1")
     if not (0 <= x0 < 1 and 0 <= xi0 < 1):
         raise ValueError("center must lie in [0,1)^2")
     if squeeze <= 0:
@@ -226,13 +229,10 @@ def coherent_state(N, x0, xi0, squeeze=1.0):
 
 
 def _coherent_array(N, x0, xi0, squeeze=1.0):
-    j = np.arange(N)
-    u = j / N - x0
-    W = _kernels._theta_width(N, squeeze)
+    c = N * x0
+    n, g = _kernels._gaussian_window(N, c, squeeze)
     psi = np.zeros(N, dtype=complex)
-    for w in range(-W, W + 1):
-        v = u - w
-        psi += np.exp(-math.pi * N * squeeze * v * v + 2j * math.pi * N * xi0 * v)
+    np.add.at(psi, n % N, g * np.exp(2j * math.pi * xi0 * (n - c)))
     return psi / np.linalg.norm(psi)
 
 
@@ -299,6 +299,8 @@ def scar_record(A, N):
     Returns a record with the projected state, the period, the eigenphase of
     the propagator on it, and the eigenvector residual.
     """
+    if N < 1:
+        raise ValueError("need N >= 1")
     word = _decompose(A.matrix())
     Tq, phase = _matrix_free_period(A, N, word)
     Q = QuantizedCatMap(A, N, None, word)

@@ -97,11 +97,6 @@ def direction_rank(xi):
     raise NumericalSignal("unsupported", "cannot rank an unflagged irrational direction for n >= 3")
 
 
-def lyapunov_exponent(A):
-    """Log of the spectral radius of the cat map."""
-    return A.lyapunov_exponent()
-
-
 def _orbit_array(points, A, T):
     # (T+1, P, 2) forward orbit under A mod 1
     a, b, c, d = A.a, A.b, A.c, A.d

@@ -125,8 +125,8 @@ def _run_jarnik(cfg):
 
 def _run_variance(cfg):
     caps = tuple(cfg["shell_caps"])
-    if len(set(caps)) < 2:
-        raise ValueError(f"shell_caps needs two distinct caps for a slope: {list(caps)}")
+    if len(set(caps)) < 2 or min(caps) < 1:
+        raise ValueError(f"shell_caps needs two distinct caps >= 1 for a slope: {list(caps)}")
     symbols = [torus.cosine_symbol(p, 1.0 / math.pi) for p in VARIANCE_MOMENTA]
     table = np.empty((len(caps), len(symbols)))
     sizes = []
@@ -177,8 +177,8 @@ def _direct_flowed_element(psi, p, t):
 
 
 def _run_torus_egorov(cfg):
-    if cfg["trials"] < 1:
-        raise ValueError(f"trials must be >= 1: {cfg['trials']}")
+    if cfg["trials"] < 1 or cfg["max_m"] < 1:
+        raise ValueError(f"trials and max_m must be >= 1: {cfg['trials']}, {cfg['max_m']}")
     rng = np.random.default_rng(cfg["seed"])
     shells = list(_shells(cfg["max_m"]))
     worst_match = 0.0
@@ -285,6 +285,8 @@ def _run_weinstein(cfg):
     if cfg["band_check_l"] not in cfg["band_ls"]:
         raise ValueError(f"band_check_l must be one of band_ls {cfg['band_ls']}: "
                          f"{cfg['band_check_l']}")
+    if cfg["trials"] < 1:
+        raise ValueError(f"trials must be >= 1: {cfg['trials']}")
     L = cfg["L"]
     D = (L + 1) ** 2
     rng = np.random.default_rng(cfg["seed"])
@@ -341,7 +343,7 @@ def _run_catmap_egorov(cfg):
                 theta = np.trace(TA.conj().T @ V) / N
                 err = float(np.abs(V - theta * TA).max())
                 worst = max(worst, err, abs(abs(theta) - 1.0))
-    cpm_ok = catmap.classical_period_mod(A, 5) == 10
+    cpm_5 = catmap.classical_period_mod(A, 5)
     rows = []
     missed = []
     for N in range(1, cfg["period_max_n"] + 1):
@@ -352,16 +354,16 @@ def _run_catmap_egorov(cfg):
             missed.append(N)
             continue
         rows.append(
-            (N, catmap.classical_period_mod(A, N), rec["period"],
+            (N, rec["classical_period"], rec["period"],
              rec["phase"].real, rec["phase"].imag)
         )
     outputs = {
         "worst_egorov_error": worst,
-        "classical_period_mod_5": catmap.classical_period_mod(A, 5),
+        "classical_period_mod_5": cpm_5,
         "periods_found": len(rows),
         "periods_missed": missed,
     }
-    passed = worst <= 1e-10 and cpm_ok and not missed
+    passed = worst <= 1e-10 and cpm_5 == 10 and not missed
     header = ("N", "classical_period", "quantum_period", "phase_re", "phase_im")
     return outputs, passed, {"catmap-periods.csv": (header, rows)}
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from semiclab import _kernels
 from semiclab._errors import NumericalSignal
 
 FOUR_PI = 4.0 * math.pi
@@ -169,17 +170,10 @@ def reproducing_kernel_diag(l):
     return float(vals.mean())
 
 
-def _haar_unitary(rng, d):
-    # Ginibre QR with the phases of diag(R) divided out: Haar on U(d)
-    G = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]
-
-
 def random_onb(l, seed):
     """Haar-random orthonormal basis of the degree-l eigenspace."""
     d = 2 * l + 1
-    Q = _haar_unitary(np.random.default_rng(seed), d)
+    Q = _kernels._haar_unitary(np.random.default_rng(seed), d)
     return [SphericalState(l, Q[:, j].copy()) for j in range(d)]
 
 
@@ -224,7 +218,7 @@ def concentration_experiment(l, a, trials, seed):
     d = 2 * l + 1
     sups = np.empty(trials)
     for t in range(trials):
-        Q = _haar_unitary(rng, d)
+        Q = _kernels._haar_unitary(rng, d)
         devs = (np.abs(Q) ** 2 * diag[:, None]).sum(axis=0)
         sups[t] = float(np.abs(devs).max())
     threshold = l ** (-1.0 / 8.0)
@@ -340,14 +334,11 @@ def _compression_matrix(V, l, extra_theta=0, extra_phi=0):
     vals = evaluate_coefficients(V, tt, pp).reshape(n_theta, n_phi)
     # phi integral via DFT: F[j, d] = sum_k V[j, k] e^{i d phi_k}
     F = np.fft.ifft(vals, axis=1) * n_phi
-    d = 2 * l + 1
     ms = np.arange(-l, l + 1)
     D = (ms[None, :] - ms[:, None]) % n_phi
     FD = F[:, D]
     Pl = _norm_legendre(l, x)[:, l, :]
-    rows = np.empty((n_theta, d))
-    rows[:, l:] = Pl
-    rows[:, :l] = (((-1.0) ** np.arange(1, l + 1)) * Pl[:, 1:])[:, ::-1]
+    rows = _assemble_rows(Pl, np.zeros(len(x))).real
     M = np.einsum("j,jm,jn,jmn->mn", w * (2.0 * math.pi / n_phi), rows, rows, FD)
     return 0.5 * (M + M.conj().T)
 

@@ -104,13 +104,9 @@ def random_shell_basis(shell, seed):
     """Haar-random orthonormal basis of the shell eigenspace (phase-fixed QR)."""
     if len(shell) == 0:
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
-    rng = np.random.default_rng(seed)
-    s = len(shell)
-    G = (rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))) / math.sqrt(2)
-    Q, R = np.linalg.qr(G)
-    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]
+    Q = _kernels._haar_unitary(np.random.default_rng(seed), len(shell))
     C = Q / TWO_PI ** (shell.dimension / 2)
-    return [TorusEigenfunction(shell, C[:, j].copy()) for j in range(s)]
+    return [TorusEigenfunction(shell, C[:, j].copy()) for j in range(len(shell))]
 
 
 def density_moment(psi, p):

@@ -127,6 +127,7 @@ def test_quantum_period_small():
         Q = catmap.propagator(A, N)
         rec = catmap.quantum_period(Q)
         assert rec["period"] == t_expect
+        assert rec["classical_period"] == catmap.classical_period_mod(A, N)
         assert abs(abs(rec["phase"]) - 1.0) < 1e-12
         P = np.linalg.matrix_power(Q.U, rec["period"])
         assert np.abs(P - rec["phase"] * np.eye(N)).max() < 1e-8
@@ -146,6 +147,12 @@ def test_not_admissible_raises():
         catmap.scar_record(A, 311)
 
 
+def test_scar_record_rejects_bad_n():
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            catmap.scar_record(A, N)
+
+
 def test_coherent_state_shape():
     s = catmap.coherent_state(100, 0.3, 0.7)
     assert s.N == 100
@@ -156,6 +163,9 @@ def test_coherent_state_shape():
         catmap.coherent_state(100, 0.0, -0.1)
     with pytest.raises(ValueError):
         catmap.coherent_state(100, 0.0, 0.0, squeeze=0.0)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            catmap.coherent_state(N, 0.3, 0.7)
     # distant centers are nearly orthogonal
     t = catmap.coherent_state(100, 0.8, 0.2)
     assert abs(np.vdot(s.amplitudes, t.amplitudes)) < 1e-10

@@ -96,10 +96,6 @@ def test_direction_rank():
         dynamics.direction_rank((1.0, math.sqrt(2.0), 0.5))
 
 
-def test_lyapunov_delegates():
-    assert dynamics.lyapunov_exponent(A) == A.lyapunov_exponent()
-
-
 def test_orbit_array_periodicity():
     # the period-2 rational orbit closes up exactly in floating point
     pts = np.array([[0.8, 0.6], [0.2, 0.4]])

@@ -34,6 +34,11 @@ SRC = pathlib.Path(experiments.__file__).parent
         # checks that could never pass
         ("sphere-weinstein", {"band_check_l": 30}, "band_check_l"),
         ("partition-decay", {"window": [1, 11]}, "window"),
+        # a config on which the check passed with nothing tested
+        ("sphere-weinstein", {"trials": 0}, "trials"),
+        # configs that crashed with an error naming no key
+        ("torus-egorov", {"max_m": 0}, "max_m"),
+        ("torus-variance-rate", {"shell_caps": [0, 25]}, "shell_caps"),
     ],
 )
 def test_config_rejected_naming_the_key(name, overrides, key):

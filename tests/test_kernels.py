@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import _kernels, catmap, dynamics, experiments, lattice, torus
+from semiclab import _kernels, catmap, dynamics, experiments, lattice, sphere, torus
 
 A = catmap.CatMap(2, 1, 1, 1)
 
@@ -122,10 +122,45 @@ def test_l4_moment_sums_zero_shell():
     assert X[0] == pytest.approx(0.25, rel=1e-15)
 
 
+def _coherent_reference(N, x0, xi0, squeeze):
+    # the theta sum over whole periods: 2W + 1 copies of the Gaussian on the
+    # N sites, with W two periods beyond the exp(-40) reach
+    u = np.arange(N) / N - x0
+    W = int(math.ceil(math.sqrt(40.0 / (math.pi * N * squeeze)))) + 2
+    psi = np.zeros(N, dtype=complex)
+    for w in range(-W, W + 1):
+        v = u - w
+        psi += np.exp(-math.pi * N * squeeze * v * v + 2j * math.pi * N * xi0 * v)
+    return psi / np.linalg.norm(psi)
+
+
+def test_coherent_state_against_period_sum():
+    # folding the Gaussian window onto Z/N, against the sum over periods; the
+    # window is longer than N up to N = 18 and shorter from N = 101 on
+    rng = np.random.default_rng(12)
+    for N, squeeze in itertools.product((1, 2, 3, 18, 101, 504, 2898), (0.5, 1.0, 2.0)):
+        for x0, xi0 in rng.random((8, 2)):
+            got = catmap.coherent_state(N, x0, xi0, squeeze).amplitudes
+            ref = _coherent_reference(N, x0, xi0, squeeze)
+            assert np.abs(got - ref).max() < 1e-12, (N, squeeze, x0, xi0)
+
+
+def test_haar_unitary_is_the_one_draw():
+    # unitary, and the torus and sphere bases take their columns from it
+    shell = lattice.enumerate_shell(65, 2)
+    U = _kernels._haar_unitary(np.random.default_rng(3), len(shell))
+    assert np.abs(U.conj().T @ U - np.eye(len(shell))).max() < 1e-14
+    basis = torus.random_shell_basis(shell, 3)
+    assert np.array_equal(np.stack([b.amplitudes for b in basis], axis=1), U / (2 * math.pi))
+    onb = sphere.random_onb(5, 3)
+    U11 = _kernels._haar_unitary(np.random.default_rng(3), 11)
+    assert np.array_equal(np.stack([s.amplitudes for s in onb], axis=1), U11)
+
+
 def _husimi_bank(N, G, squeeze):
     # conjugated coherent states at the cell centers, cell (a, b) in row a*G + b
     return np.array([
-        catmap._coherent_array(N, (a + 0.5) / G, (b + 0.5) / G, squeeze)
+        _coherent_reference(N, (a + 0.5) / G, (b + 0.5) / G, squeeze)
         for a in range(G)
         for b in range(G)
     ]).conj()
