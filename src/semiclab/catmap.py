@@ -7,15 +7,17 @@ e^{2 pi i w(a,b)/N}, with w the integer symplectic form. Propagators are
 built as products of the quantized generators J (a DFT) and lower shears
 (quadratic phase diagonals e^{i pi c j (j+N) / N}); the j(j+N) exponent keeps
 the shear well defined for both parities, so exact Egorov holds with no
-parity correction.
+parity correction. The matrix-free path runs the word compiled once per
+(A, N) into a few numpy steps, so importing this module loads no scipy.
 """
 
 import cmath
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _sfft
 
 from semiclab import _kernels
 from semiclab._errors import NumericalSignal
@@ -55,6 +57,10 @@ class QuantizedCatMap:
     N: int
     U: np.ndarray
     word: tuple
+    steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", _compile_word(self.word, self.N))
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,33 @@ def _decompose(A):
     return tuple(word)
 
 
+def _compile_word(word, N):
+    # The word as steps along the last axis, innermost first. A run of J
+    # folds mod 4: J^2 is the parity j -> -j mod N and J^3 the inverse
+    # unitary DFT. Shears left adjacent multiply into one diagonal.
+    runs = []
+    for g, run in itertools.groupby(word, key=lambda gc: gc[0]):
+        if g == "J":
+            turns = len(list(run)) % 4
+            if turns:
+                runs.append(turns)
+            continue
+        d = functools.reduce(np.multiply, (_shear_diag(N, c) for _, c in run))
+        if runs and isinstance(runs[-1], np.ndarray):
+            runs[-1] = runs[-1] * d
+        else:
+            runs.append(d)
+    turn = {
+        1: functools.partial(np.fft.fft, norm="ortho"),
+        2: functools.partial(np.take, indices=-np.arange(N) % N, axis=-1),
+        3: functools.partial(np.fft.ifft, norm="ortho"),
+    }
+    return tuple(
+        functools.partial(np.multiply, r) if isinstance(r, np.ndarray) else turn[r]
+        for r in runs
+    )
+
+
 def _word_matrix(word):
     M = ((1, 0), (0, 1))
     for g, c in word:
@@ -158,13 +191,13 @@ def propagator(A, N):
 
 
 def apply_propagator(Q, v):
-    """U v without touching the dense matrix (generator word, innermost first)."""
+    """U v along the last axis of v, without touching the dense matrix: the
+    compiled word's steps, innermost first. A (k, N) block maps row by row."""
     out = np.asarray(v, dtype=complex)
-    for g, c in Q.word:
-        if g == "J":
-            out = _sfft.fft(out, norm="ortho")
-        else:
-            out = _shear_diag(Q.N, c) * out
+    if out.ndim == 0 or out.shape[-1] != Q.N:
+        raise ValueError(f"last axis of v must have length N = {Q.N}")
+    for step in Q.steps:
+        out = step(out)
     return out
 
 
@@ -174,18 +207,17 @@ def classical_period_mod(A, N):
         raise ValueError("need N >= 1")
     if N == 1:
         return 1
-    ident = ((1, 0), (0, 1))
-    M = ident
-    Amod = tuple(tuple(x % N for x in row) for row in A.matrix())
+    a, b, c, d = A.a % N, A.b % N, A.c % N, A.d % N
+    m00, m01, m10, m11 = 1, 0, 0, 1
     t = 0
     guard = 16 * N * N + 64
     while True:
-        M = tuple(
-            tuple(sum(M[i][k] * Amod[k][j] for k in range(2)) % N for j in range(2))
-            for i in range(2)
+        m00, m01, m10, m11 = (
+            (m00 * a + m01 * c) % N, (m00 * b + m01 * d) % N,
+            (m10 * a + m11 * c) % N, (m10 * b + m11 * d) % N,
         )
         t += 1
-        if M == ident:
+        if m00 == 1 and m01 == 0 and m10 == 0 and m11 == 1:
             return t
         if t > guard:
             raise NumericalSignal("no-period", f"no period below {guard} for N={N}")
@@ -249,24 +281,26 @@ FNDB_ADMISSIBLE_LARGE = (
 )
 
 
-def _matrix_free_period(A, N, word):
-    # shortest U-power that acts as a scalar, probed on two vectors;
-    # candidates are multiples of the classical period within the
-    # short-period (Ehrenfest-scale) admissibility bound
+def _matrix_free_period(Q):
+    # shortest U-power that acts as a scalar, probed on two vectors stepped
+    # together as one (2, N) block; candidates are multiples of the
+    # classical period within the short-period (Ehrenfest-scale)
+    # admissibility bound
+    A, N = Q.cat, Q.N
     chi = A.lyapunov_exponent()
     bound = 4.0 * math.log(N) / chi
     t_cl = classical_period_mod(A, N)
-    Q = QuantizedCatMap(A, N, None, word)
     rng = np.random.default_rng(8191)
-    probes = [rng.standard_normal(N) + 1j * rng.standard_normal(N), np.zeros(N, complex)]
+    probes = np.zeros((2, N), dtype=complex)
+    probes[0] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     probes[0] /= np.linalg.norm(probes[0])
     probes[1][0] = 1.0
-    cur = [p.copy() for p in probes]
+    cur = probes
     t = 0
     found = None
     while t + t_cl <= bound:
         for _ in range(t_cl):
-            cur = [apply_propagator(Q, v) for v in cur]
+            cur = apply_propagator(Q, cur)
         t += t_cl
         scal = None
         ok = True
@@ -301,9 +335,8 @@ def scar_record(A, N):
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    word = _decompose(A.matrix())
-    Tq, phase = _matrix_free_period(A, N, word)
-    Q = QuantizedCatMap(A, N, None, word)
+    Q = QuantizedCatMap(A, N, None, _decompose(A.matrix()))
+    Tq, phase = _matrix_free_period(Q)
     adj = cmath.exp(-1j * cmath.phase(phase) / Tq)
     orbit = np.empty((Tq, N), dtype=complex)
     orbit[0] = _coherent_array(N, 0.0, 0.0)
@@ -454,6 +487,9 @@ def partition_product_norm(Q, partition, word):
     pi_a(t) = U^{-t} diag(partition[a]) U^t."""
     if len(word) < 1:
         raise ValueError("need a nonempty word")
+    for a in word:
+        if not isinstance(a, (int, np.integer)) or not 0 <= a < len(partition):
+            raise ValueError(f"word entry {a!r} is not a cutoff index in range({len(partition)})")
     parts = [np.asarray(p, dtype=float) for p in partition]
     total = np.zeros(Q.N)
     for p in parts:

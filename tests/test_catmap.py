@@ -101,6 +101,46 @@ def test_apply_propagator_matches_dense():
     assert np.abs(catmap.apply_propagator(Q, v) - Q.U @ v).max() < 1e-12
 
 
+def test_apply_propagator_rejects_wrong_length():
+    Q = catmap.propagator(A, 8)
+    for v in (np.ones(1), np.ones(7), np.ones((3, 9)), np.ones((8, 1)), np.array(1.0)):
+        with pytest.raises(ValueError, match="N = 8"):
+            catmap.apply_propagator(Q, v)
+
+
+def _generator_product(word, N, X):
+    # slow reference: the dense generators applied one by one, innermost first
+    out = X.T.astype(complex)
+    for g, c in word:
+        out = (catmap._fourier(N) if g == "J" else np.diag(catmap._shear_diag(N, c))) @ out
+    return out.T
+
+
+J = ("J", None)
+# J^2 and J^5 runs, and shears made adjacent by a J^4 run: _decompose gives a
+# hyperbolic map only J and J^3 runs, but the compiled word folds any word
+FOLD_WORD = (("S", 3), J, J, ("S", -1), J, J, J, J, ("S", 2), J, J, J, J, J, ("S", 0))
+
+
+@pytest.mark.parametrize("cat, word, n_steps", [
+    (A, None, 3),                                # S J J J S
+    (catmap.CatMap(5, 2, 2, 1), None, 4),        # S J S J J J, ends on a J^3 run
+    (catmap.CatMap(3, 1, 2, 1), None, 5),        # S J S J S
+    (A, FOLD_WORD, 5),                           # S J^2 S(J^4)S J^5 S
+])
+def test_compiled_word_matches_generator_product(cat, word, n_steps):
+    word = catmap._decompose(cat.matrix()) if word is None else word
+    rng = np.random.default_rng(11)
+    for N in list(range(1, 65)) + [504]:
+        Q = catmap.QuantizedCatMap(cat, N, None, word)
+        assert len(Q.steps) == n_steps
+        X = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        Y = catmap.apply_propagator(Q, X)
+        assert np.abs(Y - _generator_product(word, N, X)).max() < 1e-12, N
+        assert np.array_equal(catmap.apply_propagator(Q, X[1]), Y[1]), N
+
+
 def _brute_period(Amat, N):
     M = np.eye(2, dtype=np.int64)
     B = np.array(Amat, dtype=np.int64) % N
@@ -112,8 +152,11 @@ def _brute_period(Amat, N):
 
 
 def test_classical_period():
-    for N in (2, 3, 5, 8, 13, 21, 55, 89):
-        assert catmap.classical_period_mod(A, N) == _brute_period(A.matrix(), N)
+    # every N <= 200 covers 2N for every N <= 100, the modulus of the bound
+    # on the quantum period
+    for B in (A, catmap.CatMap(5, 2, 2, 1), catmap.CatMap(3, 1, 2, 1)):
+        for N in range(2, 201):
+            assert catmap.classical_period_mod(B, N) == _brute_period(B.matrix(), N), (B, N)
     assert catmap.classical_period_mod(A, 1) == 1
     assert catmap.classical_period_mod(A, 5) == 10
     assert catmap.classical_period_mod(A, 13) == 14
@@ -134,10 +177,10 @@ def test_quantum_period_small():
 
 
 def test_matrix_free_period_matches_dense():
-    word = catmap._decompose(A.matrix())
     for N in (18, 19, 24, 36, 38):
-        t, phase = catmap._matrix_free_period(A, N, word)
-        rec = catmap.quantum_period(catmap.propagator(A, N))
+        Q = catmap.propagator(A, N)
+        t, phase = catmap._matrix_free_period(Q)
+        rec = catmap.quantum_period(Q)
         assert t == rec["period"]
         assert abs(phase - rec["phase"]) < 1e-8
 
@@ -214,7 +257,7 @@ def test_frozen_quantum_periods_large():
     word = catmap._decompose(A.matrix())
     for N, t_expect in ((504, 24), (646, 18), (682, 15), (1292, 18), (1705, 30)):
         assert N in catmap.FNDB_ADMISSIBLE_LARGE
-        t, phase = catmap._matrix_free_period(A, N, word)
+        t, phase = catmap._matrix_free_period(catmap.QuantizedCatMap(A, N, None, word))
         assert t == t_expect
         assert abs(abs(phase) - 1.0) < 1e-8
 
@@ -307,6 +350,10 @@ def test_partition_product_norm_validation():
         catmap.partition_product_norm(Q, (2.0 * p0, p1), [0])
     with pytest.raises(NumericalSignal, match="bad-partition"):
         catmap.partition_product_norm(Q, (p0, 0.5 * p1), [0])
+    # a word entry must index a cutoff; a negative entry is not wrapped
+    for bad in ([-1, -1], [2], [0, 1, 2], [0, -1], [1.0]):
+        with pytest.raises(ValueError, match="word entry"):
+            catmap.partition_product_norm(Q, (p0, p1), bad)
     # one cutoff alone is a contraction
     assert catmap.partition_product_norm(Q, (p0, p1), [0]) <= 1.0 + 1e-12
 

@@ -1,7 +1,10 @@
 """Experiment runners: config validation, where files are written, and who writes them."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -79,3 +82,15 @@ def test_only_experiments_writes_files():
         assert "csv" not in imports, path.name
         for mode in _write_modes(tree):
             assert mode is not None and not set(mode) & set("wax+"), (path.name, mode)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside eigensystem (schur) and radon_flow
+    # (solve_ivp), which no experiment calls
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for module in ("semiclab.experiments", "semiclab.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]", module

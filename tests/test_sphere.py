@@ -1,8 +1,6 @@
 """Spherical harmonics, equatorial concentration, and the geodesic Radon picture."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -418,10 +416,3 @@ def test_radon_range_evaluates_once(monkeypatch):
     assert len(calls) == 1
     sphere.radon_range(_random_real_coeffs(3, np.random.default_rng(0)))
     assert len(calls) == 2
-
-
-def test_import_experiments_leaves_out_integrate():
-    # solve_ivp is imported inside radon_flow, which no experiment calls
-    code = "import sys, semiclab.experiments; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
