@@ -279,6 +279,36 @@ def _run_sphere_concentration(cfg):
     return outputs, passed, {"sphere-concentration.csv": (header, rows)}
 
 
+def _ginibre(rng, D):
+    # the bits of standard_normal((D, D)) + 1j * standard_normal((D, D)),
+    # filled in place: no complex temporary, one float draw at a time
+    B = np.empty((D, D), dtype=complex)
+    B.real = rng.standard_normal((D, D))
+    B.imag = rng.standard_normal((D, D))
+    return B
+
+
+def _projection_is_exact(L, trials, seed):
+    """Whether quantum_average is idempotent and commutes with the Laplacian
+    on `trials` seeded Ginibre draws of size D = (L+1)^2.
+
+    At most two D x D complex matrices are alive at once, and none when it
+    returns.
+    """
+    rng = np.random.default_rng(seed)
+    lap = sphere.laplacian_diagonal(L)
+    exact = True
+    for _ in range(trials):
+        # averaged from the full draw, so a leaked off-block entry shows below
+        P = sphere.quantum_average(_ginibre(rng, (L + 1) ** 2), L)
+        exact &= np.array_equal(P, sphere.quantum_average(P, L))
+        # P Lap == Lap P elementwise, one degree-block row strip at a time
+        for sl in sphere.block_slices(L):
+            exact &= not np.any(P[sl] * lap[None, :] != lap[sl, None] * P[sl])
+        del P
+    return exact
+
+
 def _run_weinstein(cfg):
     if len(cfg["band_ls"]) < 2:
         raise ValueError(f"band_ls needs two degrees to test a decrease: {cfg['band_ls']}")
@@ -287,18 +317,7 @@ def _run_weinstein(cfg):
                          f"{cfg['band_check_l']}")
     if cfg["trials"] < 1:
         raise ValueError(f"trials must be >= 1: {cfg['trials']}")
-    L = cfg["L"]
-    D = (L + 1) ** 2
-    rng = np.random.default_rng(cfg["seed"])
-    lap = sphere.laplacian_diagonal(L)
-    exact = True
-    for _ in range(cfg["trials"]):
-        B = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        P = sphere.quantum_average(B, L)
-        if not np.array_equal(P, sphere.quantum_average(P, L)):
-            exact = False
-        if np.any(P * lap[None, :] != lap[:, None] * P):
-            exact = False
+    exact = _projection_is_exact(cfg["L"], cfg["trials"], cfg["seed"])
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4)
     rows = []
     dhs = []

@@ -123,19 +123,37 @@ def pair_degeneracy(shell, p):
 def arc_counts(shell, centers, half):
     """Points of a 2-D shell within angle half of each arc center (radians).
 
-    Returns one count per center. A point counts when its angle lies within
-    half of the center, measured the short way round the circle, so half >= pi
-    counts the whole shell.
+    Returns one count per center. A point counts when its angle a passes
+    |((a - center + pi) mod 2pi) - pi| <= half, its distance from the center
+    the short way round the circle, so half >= pi counts the whole shell.
+    That test runs only on each arc's window of candidates, taken by
+    searchsorted from the sorted angles.
     """
     v = np.asarray(shell.vectors, dtype=float).reshape(-1, 2)
-    ang = np.arctan2(v[:, 1], v[:, 0])
+    ang = np.sort(np.arctan2(v[:, 1], v[:, 0]))
+    s = len(ang)
     centers = np.asarray(centers, dtype=float)
-    # blocks of 1024 arcs keep the (arcs, s) temporaries small
-    return np.concatenate([
-        (np.abs((ang - th[:, None] + math.pi) % (2 * math.pi) - math.pi) <= half)
-        .sum(axis=1)
-        for th in np.split(centers, range(1024, len(centers), 1024))
-    ])
+    # The window holds the sorted angles in (-pi, pi], tiled again at +2pi,
+    # within half + 1e-9 of the center reduced to [0, 2pi]; each point's
+    # nearest copy to such a center lies in one of the two tiles. The test
+    # above, the tiled copies and the reduced center each differ from exact
+    # arithmetic by a few ulps of |center| + 2pi, far below the 1e-9 pad, so
+    # no point that passes the test lies outside its window. Two copies of
+    # one point are s places apart, so a window cut to s places tests each
+    # point at most once; once half >= pi it tests every point once, a full
+    # scan.
+    tiled = np.concatenate([ang, ang + 2 * math.pi])
+    reduced = centers % (2 * math.pi)
+    lo = np.searchsorted(tiled, reduced - (half + 1e-9))
+    hi = np.minimum(np.searchsorted(tiled, reduced + (half + 1e-9)), lo + s)
+    places = np.arange(int((hi - lo).max(initial=0)))
+    counts = np.empty(len(centers), dtype=np.int64)
+    # blocks of 1024 arcs keep the (arcs, window) temporaries small
+    for b in range(0, len(centers), 1024):
+        pos = lo[b:b + 1024, None] + places
+        d = (ang[pos % s] - centers[b:b + 1024, None] + math.pi) % (2 * math.pi) - math.pi
+        counts[b:b + 1024] = ((np.abs(d) <= half) & (pos < hi[b:b + 1024, None])).sum(axis=1)
+    return counts
 
 
 def arc_lattice_count(radius, center_angle, arc_length):

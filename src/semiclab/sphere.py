@@ -336,10 +336,13 @@ def _compression_matrix(V, l, extra_theta=0, extra_phi=0):
     F = np.fft.ifft(vals, axis=1) * n_phi
     ms = np.arange(-l, l + 1)
     D = (ms[None, :] - ms[:, None]) % n_phi
-    FD = F[:, D]
     Pl = _norm_legendre(l, x)[:, l, :]
     rows = _assemble_rows(Pl, np.zeros(len(x))).real
-    M = np.einsum("j,jm,jn,jmn->mn", w * (2.0 * math.pi / n_phi), rows, rows, FD)
+    wq = w * (2.0 * math.pi / n_phi)
+    # one node at a time: the (n_theta, 2l+1, 2l+1) stack F[:, D] is never built
+    M = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+    for j in range(n_theta):
+        M += (wq[j] * np.outer(rows[j], rows[j])) * F[j, D]
     return 0.5 * (M + M.conj().T)
 
 

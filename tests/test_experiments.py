@@ -1,14 +1,17 @@
-"""Experiment runners: config validation, where files are written, and who writes them."""
+"""Experiment runners: config validation, where files are written, who writes
+them, and what sphere-weinstein's exactness check holds in memory."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from semiclab import experiments
+from semiclab import experiments, sphere
 
 SRC = pathlib.Path(experiments.__file__).parent
 
@@ -94,3 +97,49 @@ def test_import_loads_no_scipy():
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "[]", module
+
+
+def test_ginibre_fill_is_the_sum_of_two_draws():
+    D = 31 ** 2
+    rng = np.random.default_rng(5)
+    want = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    got = experiments._ginibre(np.random.default_rng(5), D)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("flaw", ["leak-first-row", "leak-last-row", "not-idempotent"])
+def test_projection_check_catches_a_flawed_average(monkeypatch, flaw):
+    # a leaked off-block entry keeps the average idempotent, so only the
+    # commutation strips see it; a doubled diagonal entry commutes with the
+    # Laplacian, so only the idempotence test sees it
+    L = 3
+    assert experiments._projection_is_exact(L, 2, 0)
+    average = sphere.quantum_average
+
+    def flawed(B, L):
+        out = average(B, L)
+        if flaw == "leak-first-row":
+            out[0, -1] = B[0, -1]
+        elif flaw == "leak-last-row":
+            out[-1, 0] = B[-1, 0]
+        else:
+            out[0, 0] = 2.0 * B[0, 0]
+        return out
+
+    monkeypatch.setattr(sphere, "quantum_average", flawed)
+    assert not experiments._projection_is_exact(L, 2, 0)
+
+
+def test_weinstein_holds_at_most_two_dense_matrices():
+    # each trial's draw, average and full-size products once peaked at 5.16
+    # D x D complex matrices
+    cfg = {"L": 30, "trials": 2, "band_ls": [10, 80], "band_check_l": 80, "seed": 5}
+    D = (cfg["L"] + 1) ** 2
+    tracemalloc.start()
+    try:
+        outputs, passed, _ = experiments._run_weinstein(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outputs["exact_projection"] and passed
+    assert peak <= 2.5 * D * D * 16, peak / (D * D * 16)

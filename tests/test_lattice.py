@@ -187,6 +187,46 @@ def test_arc_lattice_count_matches_angle_sweep():
     assert [cross_product_arc_count(shell, t, 0.5) for t in thetas] == counts.tolist()
 
 
+def test_arc_counts_with_an_end_on_a_lattice_point():
+    # center = half puts the clockwise end at angle 0.0, where (R, 0) lies:
+    # the cross product there is exactly 0 and, as pi - half is exact for
+    # these halves, the angle test reads exactly half, so the closed arc
+    # counts the point (half = pi/2 is left out: its other end, the float pi,
+    # misses (-R, 0) by the rounding of pi, which the two tests see apart)
+    for m in (1, 25, 625, 4225):
+        shell = lattice.enumerate_shell(m, 2)
+        for half in (0.5, 1.0, 2.0, 3.0, math.pi - 1e-6):
+            got = int(lattice.arc_counts(shell, [half], half)[0])
+            assert got == cross_product_arc_count(shell, half, 2 * half), (m, half)
+            below = lattice.arc_counts(shell, [half], np.nextafter(half, 0.0))[0]
+            assert below == got - 1, (m, half)
+
+
+def test_arc_counts_on_arc_ends_match_full_scan():
+    # arcs whose ends sit on the angle of a shell point, wrapped into
+    # [0, 2pi), so many of them cross 0 and 2pi, and the same arcs unwrapped
+    # and turned three times round
+    for m in (1, 25, 5525):
+        shell = lattice.enumerate_shell(m, 2)
+        v = np.asarray(shell.vectors, dtype=float)
+        ang = np.arctan2(v[:, 1], v[:, 0])
+        for half in (1e-6, 0.3, math.pi / 2, math.pi - 1e-6, np.nextafter(math.pi, 0.0)):
+            ends = np.concatenate([ang + half, ang - half])
+            thetas = np.concatenate([ends % (2 * math.pi), ends, ends + 6 * math.pi])
+            counts = lattice.arc_counts(shell, thetas, half)
+            for theta, got in zip(thetas, counts):
+                # the documented test on every point, one at a time
+                want = sum(
+                    bool(abs((a - theta + math.pi) % (2 * math.pi) - math.pi) <= half)
+                    for a in ang
+                )
+                assert got == want, (m, half, theta)
+                # the geometric count, up to arc ends moved by 1e-9
+                lo = cross_product_arc_count(shell, theta, 2 * half - 2e-9)
+                hi = cross_product_arc_count(shell, theta, 2 * half + 2e-9)
+                assert lo <= got <= hi, (m, half, theta)
+
+
 def test_arc_lattice_count_validation():
     with pytest.raises(NumericalSignal, match="invalid-arc"):
         lattice.arc_lattice_count(5.0, 0.0, -1.0)

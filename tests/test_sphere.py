@@ -200,6 +200,35 @@ def test_band_compression_zonal_is_diagonal():
         sphere.band_compression(V, 0)
 
 
+def test_band_compression_matches_direct_quadrature():
+    # slow reference: <Y_lm, V Y_lm'> as a double sum over Gauss-Legendre
+    # nodes and equispaced longitudes, harmonics and V from scipy, for a
+    # real V with every order m up to degree 4
+    rng = np.random.default_rng(17)
+    V = []
+    for k in range(5):
+        c = np.zeros(2 * k + 1, dtype=complex)
+        c[k] = rng.standard_normal()
+        for m in range(1, k + 1):
+            z = complex(rng.standard_normal(), rng.standard_normal())
+            c[k + m] = z
+            c[k - m] = (-1) ** m * z.conjugate()
+        V.append(c)
+    for l in (1, 4, 6):
+        x, w = np.polynomial.legendre.leggauss(l + 4)
+        n_phi = 2 * l + 6
+        ref = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+        for theta, wj in zip(np.arccos(x), w):
+            for k in range(n_phi):
+                phi = 2.0 * math.pi * k / n_phi
+                y = np.array([_scipy_ylm(l, m, theta, phi) for m in range(-l, l + 1)])
+                v = sum(c[k2 + m] * _scipy_ylm(k2, m, theta, phi)
+                        for k2, c in enumerate(V) for m in range(-k2, k2 + 1))
+                ref += (wj * 2.0 * math.pi / n_phi * v) * np.outer(y.conj(), y)
+        M = sphere.band_compression(V, l)
+        assert np.abs(M - ref).max() < 1e-12, l
+
+
 def test_zonal_from_polynomial_round_trip():
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4)
     assert len(V) == 5
