@@ -1,12 +1,14 @@
 """Hot numerical kernels and sampled states, one numpy implementation each.
 
-`bowen_masses` takes Bowen-ball candidates from a sorted x-strip and filters
-them step by step, and `l4_moment_sums` evaluates the same-midpoint chord
-identity in O(s) per state. `_gaussian_window` is the one truncation of the
-periodized Gaussian, cut at exp(-40): `catmap.coherent_state` folds it onto
-Z/N, and `husimi_grid` forms each grid row's overlaps on it, with the exact
-aliased norm. `_haar_unitary` is the one Haar draw on U(d), behind the random
-torus-shell and sphere bases.
+`bowen_masses` takes Bowen-ball candidates from the 3 x 3 neighbouring cells
+of a grid of cells at least eps wide and filters them step by step, and
+`l4_moment_sums` evaluates the same-midpoint chord identity in O(s) per
+state. `_gaussian_window` is the one truncation of the periodized Gaussian,
+cut at exp(-40): `catmap.coherent_state` folds it onto Z/N, and
+`husimi_grid` forms each grid row's overlaps on it, with the exact aliased
+norm. `_ginibre` is the one complex Gaussian fill, and `_haar_unitary`, the
+one Haar draw on U(d), takes its QR behind the random torus-shell and sphere
+bases.
 """
 
 import math
@@ -28,27 +30,28 @@ def _within(p, q, eps):
 def bowen_masses(orbits, weights, base_idx, eps):
     """Mass of each Bowen sup-ball: orbits (T+1, P, 2), bases index into P.
 
-    The t = 0 test runs only on the x-strip |x - x_b| <= eps of the points
-    sorted by x, wrapping across the seam and padded so that it holds every
-    point the test keeps. Its survivors, in ascending index order, are then
-    tested step by step: at step t only the points that stayed within eps
-    at every earlier step are tested, so the mass is summed exactly as over
-    a full in-ball mask.
+    The t = 0 points are binned into M x M cells, M = max(1, floor(1 / (eps
+    + 1e-9))), so each cell is at least eps + 1e-9 wide and every point
+    within eps of a base lies in the base's 3 x 3 neighbouring cells mod M.
+    The t = 0 test runs on those candidates only; its survivors, in
+    ascending index order, are then tested step by step: at step t only the
+    points that stayed within eps at every earlier step are tested, so the
+    mass is summed exactly as over a full in-ball mask.
     """
-    order = np.argsort(orbits[0, :, 0], kind="stable")
-    first = orbits[0, order]
-    xs = orbits[0, order, 0]
-    reach = eps + 1e-9      # the pad dwarfs the rounding of |x - x_b|
+    M = max(1, int(1.0 / (eps + 1e-9)))     # the pad dwarfs the rounding of x M
+    # cell r M + c of each t = 0 point, row r along x; order lists each cell's
+    # points, cell by cell, between its bounds
+    cell = (np.floor(orbits[0] * M).astype(np.int64) % M) @ (M, 1)
+    order = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell, np.arange(M * M + 1), sorter=order)
     out = np.empty(len(base_idx))
     for i, bi in enumerate(base_idx):
-        # the strip and its images across the seam; np.unique restores
-        # ascending index order (and drops repeats once eps >= 1/2)
-        lo = orbits[0, bi, 0] - reach + np.array([-1.0, 0.0, 1.0])
-        cuts = np.searchsorted(xs, np.concatenate([lo, lo + 2.0 * reach]))
-        cand = np.unique(np.concatenate([
-            order[a:b][_within(first[a:b], orbits[0, bi], eps)]
-            for a, b in zip(cuts[:3], cuts[3:])
-        ]))
+        cx, cy = divmod(int(cell[bi]), M)
+        near = [(r % M) * M + c % M for r in (cx - 1, cx, cx + 1) for c in (cy - 1, cy, cy + 1)]
+        idx = np.concatenate([order[bounds[c] : bounds[c + 1]] for c in near])
+        # np.unique restores ascending index order (and drops the repeated
+        # cells once M < 3)
+        cand = np.unique(idx[_within(orbits[0, idx], orbits[0, bi], eps)])
         for t in range(1, orbits.shape[0]):
             cand = cand[_within(orbits[t, cand], orbits[t, bi], eps)]
         out[i] = weights[cand].sum()
@@ -140,10 +143,20 @@ def husimi_grid(state, G, squeeze=1.0):
     return H / (H.sum() / G**2)
 
 
-# ------------------------------------------------------------------ Haar draw
+# ---------------------------------------------------- Ginibre fill, Haar draw
+
+def _ginibre(rng, d):
+    # the bits of standard_normal((d, d)) + 1j * standard_normal((d, d)),
+    # filled in place: no complex temporary, one float draw at a time
+    G = np.empty((d, d), dtype=complex)
+    G.real = rng.standard_normal((d, d))
+    G.imag = rng.standard_normal((d, d))
+    return G
+
 
 def _haar_unitary(rng, d):
     # Ginibre QR with the phases of diag(R) divided out: Haar on U(d)
-    G = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    G = _ginibre(rng, d)
+    G /= math.sqrt(2)
     Q, R = np.linalg.qr(G)
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]

@@ -380,15 +380,22 @@ def husimi(s, grid, squeeze=1.0):
     return _kernels.husimi_grid(np.asarray(s.amplitudes, complex), grid, squeeze)
 
 
+def ball_masks(G, centers, radius):
+    """(k, G, G) boolean masks of the G x G grid cells, centers at (i+1/2)/G,
+    inside the torus-metric ball of the given radius about each of k centers."""
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    g = (np.arange(G) + 0.5) / G
+    x = np.abs(g[None, :, None] - c[:, 0, None, None]) % 1.0
+    y = np.abs(g[None, None, :] - c[:, 1, None, None]) % 1.0
+    x = np.minimum(x, 1.0 - x)
+    y = np.minimum(y, 1.0 - y)
+    return x * x + y * y <= radius * radius
+
+
 def mass_in_ball(H, center, radius):
     """Husimi mass inside a torus-metric ball, grid cells at (i+1/2)/G."""
     G = H.shape[0]
-    x = ((np.arange(G) + 0.5) / G)[:, None] - center[0]
-    y = ((np.arange(G) + 0.5) / G)[None, :] - center[1]
-    x = np.minimum(np.abs(x) % 1.0, 1.0 - np.abs(x) % 1.0)
-    y = np.minimum(np.abs(y) % 1.0, 1.0 - np.abs(y) % 1.0)
-    mask = x * x + y * y <= radius * radius
-    return float((H * mask).sum() / (G * G))
+    return float((H * ball_masks(G, [center], radius)[0]).sum() / (G * G))
 
 
 def _tie_groups(values):

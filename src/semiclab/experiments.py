@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from semiclab import catmap, dynamics, lattice, sphere, spectra, torus
+from semiclab import _kernels, catmap, dynamics, lattice, sphere, spectra, torus
 from semiclab._errors import NumericalSignal
 
 TWO_PI = 2.0 * math.pi
@@ -251,9 +251,11 @@ def _run_weyl(cfg):
 def _run_sphere_concentration(cfg):
     if len(cfg["band_ls"]) < 2:
         raise ValueError(f"band_ls needs two degrees to test a decrease: {cfg['band_ls']}")
+    for key in ("kernel_lmax", "equator_lmax"):
+        if cfg[key] < 0:
+            raise ValueError(f"{key} must be >= 0: {cfg[key]}")
     worst_kernel = 0.0
-    for l in range(cfg["kernel_lmax"] + 1):
-        diag = sphere.reproducing_kernel_diag(l)
+    for l, diag in enumerate(sphere.reproducing_kernel_diags(cfg["kernel_lmax"])):
         worst_kernel = max(worst_kernel, abs(diag - (2 * l + 1) / (4.0 * math.pi)))
     worst_equator = 0.0
     for l in range(cfg["equator_lmax"] + 1):
@@ -279,32 +281,28 @@ def _run_sphere_concentration(cfg):
     return outputs, passed, {"sphere-concentration.csv": (header, rows)}
 
 
-def _ginibre(rng, D):
-    # the bits of standard_normal((D, D)) + 1j * standard_normal((D, D)),
-    # filled in place: no complex temporary, one float draw at a time
-    B = np.empty((D, D), dtype=complex)
-    B.real = rng.standard_normal((D, D))
-    B.imag = rng.standard_normal((D, D))
-    return B
-
-
 def _projection_is_exact(L, trials, seed):
     """Whether quantum_average is idempotent and commutes with the Laplacian
     on `trials` seeded Ginibre draws of size D = (L+1)^2.
+
+    (P Lap - Lap P)_ij = P_ij (lap_j - lap_i), and the Laplacian's diagonal
+    lap is l(l+1) on the degree-l block: constant on each block and distinct
+    across blocks. So P commutes with the Laplacian exactly when every entry
+    outside the degree blocks is zero, and each degree-block row strip is
+    tested for zeros left and right of its block; a NaN or +-inf entry there
+    counts as nonzero.
 
     At most two D x D complex matrices are alive at once, and none when it
     returns.
     """
     rng = np.random.default_rng(seed)
-    lap = sphere.laplacian_diagonal(L)
     exact = True
     for _ in range(trials):
         # averaged from the full draw, so a leaked off-block entry shows below
-        P = sphere.quantum_average(_ginibre(rng, (L + 1) ** 2), L)
+        P = sphere.quantum_average(_kernels._ginibre(rng, (L + 1) ** 2), L)
         exact &= np.array_equal(P, sphere.quantum_average(P, L))
-        # P Lap == Lap P elementwise, one degree-block row strip at a time
         for sl in sphere.block_slices(L):
-            exact &= not np.any(P[sl] * lap[None, :] != lap[sl, None] * P[sl])
+            exact &= not (P[sl, : sl.start].any() or P[sl, sl.stop :].any())
         del P
     return exact
 
@@ -387,25 +385,37 @@ def _run_catmap_egorov(cfg):
     return outputs, passed, {"catmap-periods.csv": (header, rows)}
 
 
+def _far_centers(exclusion):
+    # centers of the 16 x 16 grid at torus distance >= exclusion from the origin
+    out = []
+    for i in range(16):
+        for j in range(16):
+            c = ((i + 0.5) / 16.0, (j + 0.5) / 16.0)
+            if math.hypot(min(c[0], 1.0 - c[0]), min(c[1], 1.0 - c[1])) >= exclusion:
+                out.append(c)
+    return out
+
+
 def _run_scar(cfg):
     if not cfg["n_values"]:
         raise ValueError("n_values must be nonempty")
+    if cfg["far_radius"] <= 0:
+        raise ValueError(f"far_radius must be > 0: {cfg['far_radius']}")
+    centers = _far_centers(cfg["far_exclusion"])
+    if not centers:
+        raise ValueError(f"far_exclusion leaves no far center: {cfg['far_exclusion']}")
+    G = cfg["grid"]
+    masks = catmap.ball_masks(G, centers, cfg["far_radius"])
     A = standard_map()
     rows = []
     mass_ok = far_ok = resid_ok = True
     for N in cfg["n_values"]:
         rec = catmap.scar_record(A, N)
-        H = catmap.husimi(rec["state"], cfg["grid"])
+        H = catmap.husimi(rec["state"], G)
         m0 = catmap.mass_in_ball(H, (0.0, 0.0), N ** -0.25)
         far = 0.0
-        for i in range(16):
-            for j in range(16):
-                c = ((i + 0.5) / 16.0, (j + 0.5) / 16.0)
-                dx = min(c[0], 1.0 - c[0])
-                dy = min(c[1], 1.0 - c[1])
-                if math.hypot(dx, dy) < cfg["far_exclusion"]:
-                    continue
-                far = max(far, catmap.mass_in_ball(H, c, cfg["far_radius"]))
+        for m in masks:
+            far = max(far, float((H * m).sum() / (G * G)))
         rows.append((N, rec["period"], m0, far, rec["residual"]))
         mass_ok &= 0.3 <= m0 <= 0.7
         far_ok &= far <= 0.15

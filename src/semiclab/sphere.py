@@ -157,17 +157,21 @@ def equator_concentration(l, a):
     return total
 
 
-def reproducing_kernel_diag(l):
-    """sum_m |Y_lm|^2 at 20 fixed random points; constant (2l+1)/(4pi)."""
+def reproducing_kernel_diags(L):
+    """sum_m |Y_lm|^2 at 20 fixed random points, for l = 0..L, from one
+    Legendre table; each is constant (2l+1)/(4pi)."""
     rng = np.random.default_rng(314159)
     x = rng.uniform(-1.0, 1.0, 20)
     phi = rng.uniform(0.0, 2.0 * math.pi, 20)
-    Pl = _norm_legendre(l, x)[:, l, :]
-    rows = _assemble_rows(Pl, phi)
-    vals = (np.abs(rows) ** 2).sum(axis=1)
-    if float(vals.max() - vals.min()) > 1e-8:
-        raise NumericalSignal("kernel-not-constant", f"l={l} spread={vals.max()-vals.min():.2e}")
-    return float(vals.mean())
+    P = _norm_legendre(L, x)
+    out = []
+    for l in range(L + 1):
+        vals = (np.abs(_assemble_rows(P[:, l, : l + 1], phi)) ** 2).sum(axis=1)
+        spread = float(vals.max() - vals.min())
+        if spread > 1e-8:
+            raise NumericalSignal("kernel-not-constant", f"l={l} spread={spread:.2e}")
+        out.append(float(vals.mean()))
+    return out
 
 
 def random_onb(l, seed):
@@ -316,7 +320,7 @@ def quantum_average(B, L):
     D = (L + 1) ** 2
     if B.shape != (D, D):
         raise NumericalSignal("shape-mismatch", f"expected {(D, D)}, got {B.shape}")
-    out = np.zeros_like(B, dtype=complex)
+    out = np.zeros((D, D), dtype=complex)
     for sl in block_slices(L):
         out[sl, sl] = B[sl, sl]
     return out

@@ -231,6 +231,31 @@ def test_husimi_normalization_and_ball_mass():
             catmap.husimi(s, 8, squeeze=squeeze)
 
 
+def _ball_mask(G, center, radius):
+    # one center at a time, over the cell centers (i + 1/2) / G
+    g = (np.arange(G) + 0.5) / G
+    x = np.abs(g[:, None] - center[0]) % 1.0
+    y = np.abs(g[None, :] - center[1]) % 1.0
+    x = np.minimum(x, 1.0 - x)
+    y = np.minimum(y, 1.0 - y)
+    return x * x + y * y <= radius * radius
+
+
+def test_ball_masks_match_one_center_at_a_time():
+    # centers on both sides of the seams, and radii past half the diagonal
+    rng = np.random.default_rng(9)
+    centers = np.vstack([rng.random((6, 2)), [[0.0, 0.0], [0.99, 0.01], [1.0, 0.5]]])
+    for G, radius in ((8, 0.1), (64, 0.1), (64, 0.3), (13, 0.75)):
+        masks = catmap.ball_masks(G, centers, radius)
+        assert masks.shape == (len(centers), G, G) and masks.dtype == bool
+        for k, c in enumerate(centers):
+            assert np.array_equal(masks[k], _ball_mask(G, c, radius)), (G, radius, k)
+    # about the origin the four corners of the grid hold the cells whose
+    # centers ((2a + 1) / 128, (2b + 1) / 128) lie within 0.1 = 12.8 / 128
+    inside = sum((2 * a + 1) ** 2 + (2 * b + 1) ** 2 <= 163 for a in range(8) for b in range(8))
+    assert catmap.ball_masks(64, [(0.0, 0.0)], 0.1)[0].sum() == 4 * inside
+
+
 def test_scar_record_regression():
     N = 504
     rec = catmap.scar_record(A, N)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semiclab import experiments, sphere
+from semiclab import catmap, experiments, sphere
 
 SRC = pathlib.Path(experiments.__file__).parent
 
@@ -45,6 +45,11 @@ SRC = pathlib.Path(experiments.__file__).parent
         # configs that crashed with an error naming no key
         ("torus-egorov", {"max_m": 0}, "max_m"),
         ("torus-variance-rate", {"shell_caps": [0, 25]}, "shell_caps"),
+        # configs on which the check passed with nothing tested
+        ("catmap-scar", {"far_exclusion": 0.7}, "far_exclusion"),
+        ("catmap-scar", {"far_radius": 0.0}, "far_radius"),
+        ("sphere-concentration", {"kernel_lmax": -1}, "kernel_lmax"),
+        ("sphere-concentration", {"equator_lmax": -1}, "equator_lmax"),
     ],
 )
 def test_config_rejected_naming_the_key(name, overrides, key):
@@ -99,15 +104,8 @@ def test_import_loads_no_scipy():
         assert out.stdout.strip() == "[]", module
 
 
-def test_ginibre_fill_is_the_sum_of_two_draws():
-    D = 31 ** 2
-    rng = np.random.default_rng(5)
-    want = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    got = experiments._ginibre(np.random.default_rng(5), D)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("flaw", ["leak-first-row", "leak-last-row", "not-idempotent"])
+@pytest.mark.parametrize(
+    "flaw", ["leak-first-row", "leak-last-row", "not-idempotent", "leak-middle-strip"])
 def test_projection_check_catches_a_flawed_average(monkeypatch, flaw):
     # a leaked off-block entry keeps the average idempotent, so only the
     # commutation strips see it; a doubled diagonal entry commutes with the
@@ -122,12 +120,50 @@ def test_projection_check_catches_a_flawed_average(monkeypatch, flaw):
             out[0, -1] = B[0, -1]
         elif flaw == "leak-last-row":
             out[-1, 0] = B[-1, 0]
+        elif flaw == "leak-middle-strip":
+            out[5, 2] = B[5, 2]
         else:
             out[0, 0] = 2.0 * B[0, 0]
         return out
 
     monkeypatch.setattr(sphere, "quantum_average", flawed)
     assert not experiments._projection_is_exact(L, 2, 0)
+
+
+@pytest.mark.parametrize("value", [1e-300, np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+@pytest.mark.parametrize("entry", [(0, 15), (15, 0), (5, 2), (5, 9), (2, 4)])
+def test_block_zero_test_flags_every_off_block_entry(monkeypatch, value, entry):
+    # with the idempotence test switched off, the strip test alone must see
+    # a nonzero, infinite or NaN entry left or right of its strip's block
+    # (rows 4..8 form the degree-2 block at L = 3)
+    L = 3
+    monkeypatch.setattr(np, "array_equal", lambda a, b: True)
+    assert experiments._projection_is_exact(L, 2, 0)
+    average = sphere.quantum_average
+
+    def flawed(B, L):
+        out = average(B, L)
+        out[entry] = value
+        return out
+
+    monkeypatch.setattr(sphere, "quantum_average", flawed)
+    assert not experiments._projection_is_exact(L, 2, 0)
+
+
+def test_scar_builds_its_far_masks_once(monkeypatch):
+    # one call for all far centers; mass_in_ball adds one per N for the
+    # origin ball, whose radius N^(-1/4) changes with N
+    calls = []
+    ball_masks = catmap.ball_masks
+
+    def spy(G, centers, radius):
+        calls.append(len(centers))
+        return ball_masks(G, centers, radius)
+
+    monkeypatch.setattr(catmap, "ball_masks", spy)
+    experiments.run_experiment("catmap-scar", {"n_values": [504, 552]})
+    assert calls == [len(experiments._far_centers(0.3)), 1, 1]
+    assert len(experiments._far_centers(0.3)) > 1
 
 
 def test_weinstein_holds_at_most_two_dense_matrices():

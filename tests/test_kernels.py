@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,57 @@ def test_bowen_masses_numpy_against_brute_force():
             # the first base holds the wrapped point and the one at distance eps
             assert got[0] >= weights[:3].sum()
 
+    # cell edges: eps = 31/256 gives M = 8 cells of width 1/8, so the edges
+    # k/8 and every point below are dyadic and all distances exact. Points
+    # on the edges; pairs at sup-distance exactly eps across an edge, across
+    # the seam in x and in y; bases in the four corner cells, each within
+    # eps of the other three across the seams
+    eps = 31 / 256
+    u = 1 / 256
+    edges = np.array([
+        [0.375, 0.5], [0.5, 0.625], [0.0, 0.125], [0.125, 0.0],
+        [0.375 - u, 0.5], [0.375 - u + eps, 0.5],
+        [0.5, 0.75 - u], [0.5, 0.75 - u + eps],
+        [u, 0.3], [1.0 + u - eps, 0.3],
+        [0.7, u], [0.7, 1.0 + u - eps],
+        [u, u], [1.0 - u, u], [u, 1.0 - u], [1.0 - u, 1.0 - u],
+    ])
+    x, y = rng.uniform(0.0, 1.0, (2, 300))
+    pts = np.vstack([edges, np.column_stack([x, y]), np.column_stack([x, y]) * 0.05])
+    weights = rng.uniform(0.5, 1.5, len(pts))
+    weights /= weights.sum()
+    base_idx = np.arange(len(edges) + 30)
+    for eps_, T in itertools.product((eps, 0.4, 0.6), (0, 2)):
+        # at 0.4 and 0.6, M = 2 and 1: the 3 x 3 neighbouring cells repeat
+        orbits = dynamics._orbit_array(pts, A, T)
+        got = _kernels.bowen_masses(orbits, weights, base_idx, eps_)
+        for i, bi in enumerate(base_idx):
+            ref = _bowen_brute_force(orbits, weights, bi, eps_)
+            assert abs(got[i] - ref) < 1e-14, ("edges", eps_, T, i)
+        if eps_ == eps and T == 0:
+            for i in (4, 6, 8, 10):
+                pair = weights[i : i + 2].sum()
+                assert got[i] >= pair and got[i + 1] >= pair, i
+            assert (got[12:16] >= weights[12:16].sum()).all()
+        if eps_ == 0.6:
+            # no two points are more than 1/2 apart: every ball holds them all
+            assert np.allclose(got, 1.0, rtol=1e-14, atol=0.0), T
+
+
+def test_bowen_masses_peak_memory():
+    # the entropy-oracle uniform scan; the candidates stay per base, never
+    # one flat array over all bases
+    mu = dynamics.uniform_measure(100_000, 314)
+    orbits = dynamics._orbit_array(mu.points, A, 12)
+    base_idx = np.searchsorted(np.cumsum(mu.weights), (np.arange(256) + 0.5) / 256)
+    tracemalloc.start()
+    try:
+        _kernels.bowen_masses(orbits, mu.weights, base_idx, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6, peak
+
 
 def _l4_states(shell, seed):
     # random states, one real psi (c_{-k} = conj c_k) and one on a diameter
@@ -143,6 +195,33 @@ def test_coherent_state_against_period_sum():
             got = catmap.coherent_state(N, x0, xi0, squeeze).amplitudes
             ref = _coherent_reference(N, x0, xi0, squeeze)
             assert np.abs(got - ref).max() < 1e-12, (N, squeeze, x0, xi0)
+
+
+def test_ginibre_fill_is_the_sum_of_two_draws():
+    D = 31 ** 2
+    rng = np.random.default_rng(5)
+    want = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    got = _kernels._ginibre(np.random.default_rng(5), D)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_haar_unitary_scales_the_fill_bitwise():
+    # the in-place division of the fill by sqrt(2) is bitwise the division of
+    # the sum of two draws, so the Haar draw is unchanged by the fill
+    for d in (41, 81, 161):
+        rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(20):
+            G = _kernels._ginibre(rng, d)
+            G /= math.sqrt(2)
+            want = (ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))) / math.sqrt(2)
+            assert G.tobytes() == want.tobytes(), d
+    # the last draw at d = 161 is the 20th on its stream
+    rng = np.random.default_rng(161)
+    for _ in range(20):
+        U = _kernels._haar_unitary(rng, 161)
+    Q, R = np.linalg.qr(want)
+    phases = (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]
+    assert U.tobytes() == (Q * phases).tobytes()
 
 
 def test_haar_unitary_is_the_one_draw():

@@ -135,9 +135,30 @@ def test_equator_concentration_against_quadrature():
 
 
 def test_reproducing_kernel_diag():
-    for l in (5, 30, 120):
-        val = sphere.reproducing_kernel_diag(l)
-        assert abs(val - (2 * l + 1) / FOUR_PI) < 1e-11 * (2 * l + 1)
+    vals = sphere.reproducing_kernel_diags(120)
+    assert len(vals) == 121
+    for l in (0, 5, 30, 120):
+        assert abs(vals[l] - (2 * l + 1) / FOUR_PI) < 1e-11 * (2 * l + 1)
+
+
+def _reproducing_kernel_diag(l):
+    # one degree at a time, from its own Legendre table
+    rng = np.random.default_rng(314159)
+    x = rng.uniform(-1.0, 1.0, 20)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 20)
+    rows = sphere._assemble_rows(sphere._norm_legendre(l, x)[:, l, :], phi)
+    return float((np.abs(rows) ** 2).sum(axis=1).mean())
+
+
+def test_reproducing_kernel_diags_match_per_degree_tables():
+    # row l of the recurrence does not depend on L, so one table at L = 100
+    # gives every degree's values bitwise
+    x = np.random.default_rng(314159).uniform(-1.0, 1.0, 20)
+    full = sphere._norm_legendre(100, x)
+    for l in range(101):
+        assert np.array_equal(full[:, l, : l + 1], sphere._norm_legendre(l, x)[:, l, :]), l
+    want = [_reproducing_kernel_diag(l) for l in range(101)]
+    assert sphere.reproducing_kernel_diags(100) == want
 
 
 def test_random_onb_is_orthonormal_and_seeded():
