@@ -478,7 +478,9 @@ def eigensystem(Q):
 
 def smooth_half_cutoff(N, width=0.1):
     """Partition of unity (p, 1-p): cosine-ramped plateau of half the torus
-    centered at x = 0, ramp width as given."""
+    centered at x = 0, ramp width as given, 0 < width <= 1/4."""
+    if not 0 < width <= 0.25:
+        raise ValueError(f"need 0 < width <= 1/4: width={width!r}")
     x = np.arange(N) / N
 
     def step(u):

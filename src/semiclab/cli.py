@@ -31,7 +31,7 @@ def _build_parser():
     runp.add_argument("--config", help="JSON file of config overrides")
     runp.add_argument("--seed", type=int, help="override the seeded default")
     runp.add_argument("--out", default=".", help="directory for reports and data files")
-    sub.add_parser("list", help="list experiments with defaults")
+    sub.add_parser("list", help="list experiments with defaults and config rules")
     return parser
 
 
@@ -44,6 +44,10 @@ def main(argv=None):
             crit = ",".join(str(c) for c in exp.criteria)
             print(f"{name:24s} [check {crit}] {exp.description}")
             print(f"{'':24s} defaults: {json.dumps(exp.defaults, sort_keys=True)}")
+            rules = [text for _, text, _ in experiments.config_rules(name)]
+            if not exp.reads_seed:
+                rules.append("seed unread: no output depends on it")
+            print(f"{'':24s} rules: {'; '.join(rules)}")
         return 0
     if args.command != "run":
         parser.print_usage(sys.stderr)

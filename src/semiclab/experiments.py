@@ -1,13 +1,17 @@
 """Named, seeded experiments with JSON reports and CSV tables.
 
-Every experiment is registered with documented defaults and the acceptance
-checks it covers. Its runner is a function of the config alone,
-fn(cfg) -> (outputs, passed, tables), and writes no file: tables maps each
-CSV file name to (header, rows). run_experiment merges config overrides over
-the defaults (unknown keys are rejected), runs the experiment and returns a
-report dict; given an output directory, it writes the tables there with the
-one CSV writer, then `<name>-report.json`. For a fixed config the report
-content is deterministic except for the wall-time field.
+Every experiment is registered with documented defaults, the acceptance
+checks it covers and a table of config rules. Its runner is a function of
+the config alone, fn(cfg) -> (outputs, passed, tables), and neither checks
+the config nor writes a file: tables maps each CSV file name to (header,
+rows). run_experiment merges config overrides over the defaults and checks
+the result once: unknown keys are rejected, each value must have its
+default's type, and each rule (key, text, predicate) is at once what is
+checked, what the ValueError quotes and what `semiclab list` prints. It then
+runs the experiment and returns a report dict; given an output directory, it
+writes the tables there with the one CSV writer, then `<name>-report.json`.
+For a fixed config the report content is deterministic except for the
+wall-time field.
 """
 
 import cmath
@@ -64,8 +68,6 @@ def _shells(max_m):
 
 
 def _run_l4_sweep(cfg):
-    if cfg["max_m"] < 1:
-        raise ValueError(f"max_m must be >= 1: {cfg['max_m']}")
     bound = 3.0 / TWO_PI**2
     rows = []
     best_val, best_m = 0.0, 0
@@ -87,12 +89,6 @@ def _run_l4_sweep(cfg):
 
 
 def _run_jarnik(cfg):
-    if cfg["max_m"] < 1:
-        raise ValueError(f"max_m must be >= 1: {cfg['max_m']}")
-    if not cfg["radii_squared"] or min(cfg["radii_squared"]) < 1:
-        raise ValueError(f"radii_squared must be nonempty, all >= 1: {cfg['radii_squared']}")
-    if cfg["arcs_per_radius"] < 1:
-        raise ValueError(f"arcs_per_radius must be >= 1: {cfg['arcs_per_radius']}")
     worst_pair = 0
     # key(k) = k1 W + k2 is additive, and injective on the differences,
     # whose entries are at most 2 isqrt(max_m) in size
@@ -124,9 +120,7 @@ def _run_jarnik(cfg):
 
 
 def _run_variance(cfg):
-    caps = tuple(cfg["shell_caps"])
-    if len(set(caps)) < 2 or min(caps) < 1:
-        raise ValueError(f"shell_caps needs two distinct caps >= 1 for a slope: {list(caps)}")
+    caps = cfg["shell_caps"]
     symbols = [torus.cosine_symbol(p, 1.0 / math.pi) for p in VARIANCE_MOMENTA]
     table = np.empty((len(caps), len(symbols)))
     sizes = []
@@ -177,8 +171,6 @@ def _direct_flowed_element(psi, p, t):
 
 
 def _run_torus_egorov(cfg):
-    if cfg["trials"] < 1 or cfg["max_m"] < 1:
-        raise ValueError(f"trials and max_m must be >= 1: {cfg['trials']}, {cfg['max_m']}")
     rng = np.random.default_rng(cfg["seed"])
     shells = list(_shells(cfg["max_m"]))
     worst_match = 0.0
@@ -222,8 +214,6 @@ def _run_torus_egorov(cfg):
 def _run_weyl(cfg):
     lam_max = float(cfg["lam_max"])
     step = float(cfg["step"])
-    if step <= 0:
-        raise ValueError(f"step must be > 0: {cfg['step']}")
     lams = [step * i for i in range(1, int(round(lam_max / step)) + 1)]
     models = {
         "torus-2": spectra.SpectrumModel("torus-n", 2),
@@ -249,11 +239,6 @@ def _run_weyl(cfg):
 
 
 def _run_sphere_concentration(cfg):
-    if len(cfg["band_ls"]) < 2:
-        raise ValueError(f"band_ls needs two degrees to test a decrease: {cfg['band_ls']}")
-    for key in ("kernel_lmax", "equator_lmax"):
-        if cfg[key] < 0:
-            raise ValueError(f"{key} must be >= 0: {cfg[key]}")
     worst_kernel = 0.0
     for l, diag in enumerate(sphere.reproducing_kernel_diags(cfg["kernel_lmax"])):
         worst_kernel = max(worst_kernel, abs(diag - (2 * l + 1) / (4.0 * math.pi)))
@@ -308,13 +293,6 @@ def _projection_is_exact(L, trials, seed):
 
 
 def _run_weinstein(cfg):
-    if len(cfg["band_ls"]) < 2:
-        raise ValueError(f"band_ls needs two degrees to test a decrease: {cfg['band_ls']}")
-    if cfg["band_check_l"] not in cfg["band_ls"]:
-        raise ValueError(f"band_check_l must be one of band_ls {cfg['band_ls']}: "
-                         f"{cfg['band_check_l']}")
-    if cfg["trials"] < 1:
-        raise ValueError(f"trials must be >= 1: {cfg['trials']}")
     exact = _projection_is_exact(cfg["L"], cfg["trials"], cfg["seed"])
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4)
     rows = []
@@ -344,9 +322,6 @@ def _run_weinstein(cfg):
 
 
 def _run_catmap_egorov(cfg):
-    if not cfg["egorov_ns"] or cfg["period_max_n"] < 1:
-        raise ValueError("egorov_ns must be nonempty and period_max_n >= 1: "
-                         f"{cfg['egorov_ns']}, {cfg['period_max_n']}")
     A = standard_map()
     worst = 0.0
     for N in cfg["egorov_ns"]:
@@ -397,13 +372,7 @@ def _far_centers(exclusion):
 
 
 def _run_scar(cfg):
-    if not cfg["n_values"]:
-        raise ValueError("n_values must be nonempty")
-    if cfg["far_radius"] <= 0:
-        raise ValueError(f"far_radius must be > 0: {cfg['far_radius']}")
     centers = _far_centers(cfg["far_exclusion"])
-    if not centers:
-        raise ValueError(f"far_exclusion leaves no far center: {cfg['far_exclusion']}")
     G = cfg["grid"]
     masks = catmap.ball_masks(G, centers, cfg["far_radius"])
     A = standard_map()
@@ -492,9 +461,6 @@ def _run_pressure(cfg):
 
 def _run_partition(cfg):
     lo, hi = cfg["window"]
-    if not 2 <= lo <= hi <= cfg["max_word"]:
-        # the increment at word length 1 is NaN
-        raise ValueError(f"window must satisfy 2 <= lo <= hi <= max_word: {[lo, hi]}")
     A = standard_map()
     chi = A.lyapunov_exponent()
     Q = catmap.propagator(A, cfg["n"])
@@ -530,7 +496,27 @@ class Experiment(NamedTuple):
     description: str
     defaults: dict
     criteria: tuple
+    rules: tuple  # (key, rule text, cfg -> bool), checked in order
+    reads_seed: bool = True  # False: no output depends on cfg["seed"]
 
+
+def _ge(key, lo):
+    return (key, f"{key} >= {lo}", lambda c: c[key] >= lo)
+
+
+def _gt(key, lo):
+    return (key, f"{key} > {lo}", lambda c: c[key] > lo)
+
+
+def _all_ge(key, lo):
+    return (key, f"{key} nonempty, all >= {lo}", lambda c: bool(c[key]) and min(c[key]) >= lo)
+
+
+_BAND_LS = ("band_ls", "band_ls has two degrees or more, all >= 1",
+            lambda c: len(c["band_ls"]) >= 2 and min(c["band_ls"]) >= 1)
+
+# every experiment's first rule
+_SEED_RULE = _ge("seed", 0)
 
 REGISTRY = {
     "torus-l4-sweep": Experiment(
@@ -538,6 +524,7 @@ REGISTRY = {
         "max exact L4 norm of seeded random eigenfunctions on every 2-torus shell",
         {"max_m": 10000, "states_per_shell": 1000, "seed": 42},
         (1,),
+        (_ge("max_m", 1), _ge("states_per_shell", 1)),
     ),
     "lattice-jarnik": Experiment(
         _run_jarnik,
@@ -545,24 +532,30 @@ REGISTRY = {
         {"max_m": 10000, "arcs_per_radius": 10000,
          "radii_squared": list(ARC_RADII_SQUARED), "seed": 7},
         (2,),
+        (_ge("max_m", 1), _ge("arcs_per_radius", 1), _all_ge("radii_squared", 1)),
     ),
     "torus-variance-rate": Experiment(
         _run_variance,
         "decay rate of the quantum variance across full eigenbases as hbar shrinks",
         {"shell_caps": [25, 100, 400, 2500], "seed": 42},
         (3,),
+        (("shell_caps", "shell_caps has two distinct caps or more, all >= 1",
+          lambda c: len(set(c["shell_caps"])) >= 2 and min(c["shell_caps"]) >= 1),),
     ),
     "torus-egorov": Experiment(
         _run_torus_egorov,
         "flowed-observable matrix elements against a direct amplitude sum",
         {"trials": 100, "max_m": 500, "t_range": 50.0, "seed": 11},
         (4,),
+        (_ge("trials", 1), _ge("max_m", 1), _gt("t_range", 0)),
     ),
     "weyl-table": Experiment(
         _run_weyl,
         "exact counting functions against Weyl leading terms, written as CSV",
         {"lam_max": 200.0, "step": 0.5, "seed": 0},
         (5,),
+        (_gt("lam_max", 0), _gt("step", 0)),
+        reads_seed=False,
     ),
     "sphere-concentration": Experiment(
         _run_sphere_concentration,
@@ -570,6 +563,7 @@ REGISTRY = {
         {"kernel_lmax": 100, "equator_lmax": 200, "band_ls": [20, 40, 80],
          "trials": 200, "seed": 2024},
         (6,),
+        (_ge("kernel_lmax", 0), _ge("equator_lmax", 0), _BAND_LS, _ge("trials", 1)),
     ),
     "sphere-weinstein": Experiment(
         _run_weinstein,
@@ -577,6 +571,9 @@ REGISTRY = {
         {"L": 30, "trials": 50, "band_ls": [10, 20, 40, 80],
          "band_check_l": 40, "seed": 5},
         (7,),
+        (_ge("L", 0), _ge("trials", 1), _BAND_LS,
+         ("band_check_l", "band_check_l in band_ls",
+          lambda c: c["band_check_l"] in c["band_ls"])),
     ),
     "catmap-egorov-periods": Experiment(
         _run_catmap_egorov,
@@ -584,6 +581,8 @@ REGISTRY = {
         {"egorov_ns": [21, 55, 89, 144], "m_range": 3, "period_max_n": 512,
          "seed": 0},
         (8,),
+        (_all_ge("egorov_ns", 1), _ge("m_range", 1), _ge("period_max_n", 1)),
+        reads_seed=False,
     ),
     "catmap-scar": Experiment(
         _run_scar,
@@ -591,24 +590,41 @@ REGISTRY = {
         {"n_values": list(catmap.FNDB_ADMISSIBLE_LARGE), "grid": 64,
          "far_radius": 0.1, "far_exclusion": 0.3, "seed": 0},
         (9,),
+        (_all_ge("n_values", 1), _ge("grid", 1), _gt("far_radius", 0),
+         ("far_exclusion", "a 16 x 16 grid center lies >= far_exclusion from the origin",
+          lambda c: bool(_far_centers(c["far_exclusion"])))),
+        reads_seed=False,
     ),
     "entropy-oracle": Experiment(
         _run_entropy,
         "Bowen-ball entropy estimates on uniform, atomic, and mixed samples",
         {"samples": 100000, "epsilon": 0.05, "horizon": 12, "seed": 314},
         (10,),
+        # the mixture holds samples // 2 + 1 points, and an estimate needs 1000
+        (_ge("samples", 1998),
+         ("epsilon", "0 < epsilon < 1/4", lambda c: 0 < c["epsilon"] < 0.25),
+         _ge("horizon", 2)),
     ),
     "pressure-bowen": Experiment(
         _run_pressure,
         "pressure of the fixed-point orbit and Bowen roots of model pressure curves",
         {"seed": 0},
         (11,),
+        (),
+        reads_seed=False,
     ),
     "partition-decay": Experiment(
         _run_partition,
         "per-step decay of refined partition products under the cat propagator",
         {"n": 233, "width": 0.1, "max_word": 11, "window": [8, 11], "seed": 0},
         (12,),
+        (_ge("n", 1),
+         ("width", "0 < width <= 1/4", lambda c: 0 < c["width"] <= 0.25),
+         # the increment at word length 1 is NaN
+         ("window", "window is [lo, hi] with 2 <= lo <= hi <= max_word",
+          lambda c: len(c["window"]) == 2
+          and 2 <= c["window"][0] <= c["window"][1] <= c["max_word"])),
+        reads_seed=False,
     ),
 }
 
@@ -620,10 +636,36 @@ def experiment_names():
     return sorted(REGISTRY)
 
 
+# a config value must have its default's type; bool is not an int here
+_TYPES = {
+    int: ("an int", lambda v: type(v) is int),
+    float: ("a finite float", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    list: ("a list of int", lambda v: type(v) is list and all(type(x) is int for x in v)),
+}
+
+
+def config_rules(name):
+    """The rules a config of experiment `name` must pass, in checking order."""
+    return (_SEED_RULE,) + REGISTRY[name].rules
+
+
+def _check_config(name, cfg):
+    for key, default in REGISTRY[name].defaults.items():
+        kind, ok = _TYPES[type(default)]
+        if not ok(cfg[key]):
+            raise ValueError(f"{name}: {key}={cfg[key]!r} is not {kind}")
+    for key, text, ok in config_rules(name):
+        if not ok(cfg):
+            raise ValueError(f"{name}: {key}={cfg[key]!r} breaks the rule {text}")
+
+
 def run_experiment(name, overrides=None, out_dir=None):
     """Run one named experiment and return its report dict.
 
-    overrides must only contain keys present in the experiment defaults.
+    overrides must only contain keys present in the experiment defaults. The
+    merged config is checked before the timer starts: each value must have
+    its default's type (int, finite float or list of int; a bool is no int)
+    and pass config_rules(name), or ValueError quotes the key and the value.
     When out_dir is given, the experiment's CSV tables and then
     `<name>-report.json` are written there; the report content is
     deterministic for a fixed config apart from wall_time_s.
@@ -636,6 +678,7 @@ def run_experiment(name, overrides=None, out_dir=None):
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r} for {name}")
         cfg[key] = value
+    _check_config(name, cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()

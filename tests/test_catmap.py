@@ -363,6 +363,22 @@ def test_smooth_half_cutoff():
     assert np.abs(p0[1:] - p0[1:][::-1]).max() < 1e-15
 
 
+@pytest.mark.parametrize("width", [0.0, -0.1, 0.26, 1.0, float("nan")])
+def test_smooth_half_cutoff_rejects_widths_outside_a_quarter(width):
+    # width 0 once gave NaN at d = 1/4, and a negative width moved the
+    # plateau's edge out to x = 1/2
+    with pytest.raises(ValueError, match="width"):
+        catmap.smooth_half_cutoff(64, width)
+
+
+def test_smooth_half_cutoff_at_the_widest_ramp():
+    # width 1/4 ramps down from p0 = 1 at the origin to p0 = 0 at x = 1/4
+    p0, p1 = catmap.smooth_half_cutoff(64, 0.25)
+    assert np.abs(p0 + p1 - 1.0).max() < 1e-15
+    assert p0[0] == 1.0 and np.all(np.diff(p0[:17]) < 0)
+    assert np.all(p0[16:49] == 0.0)
+
+
 def test_partition_product_norm_validation():
     N = 21
     Q = catmap.propagator(A, N)

@@ -25,6 +25,16 @@ def test_list_prints_all_experiments():
     for n in range(1, 13):
         assert f"[check {n}]" in proc.stdout
     assert "defaults:" in proc.stdout
+    # each name line is followed by its defaults, then its rules
+    for name in names:
+        exp = experiments.REGISTRY[name]
+        i = next(i for i, ln in enumerate(lines) if ln.split()[:1] == [name])
+        assert lines[i + 1].split()[0] == "defaults:"
+        rules = lines[i + 2].split(None, 1)
+        assert rules[0] == "rules:"
+        for _, text, _ in experiments.config_rules(name):
+            assert text in rules[1], (name, text)
+        assert ("seed unread" in rules[1]) == (not exp.reads_seed), name
 
 
 def test_run_writes_report(tmp_path):
@@ -101,15 +111,22 @@ def test_usage_errors_exit_1(tmp_path):
 def test_invalid_config_value_exits_1(tmp_path):
     # each of these used to end in a traceback from deep inside the run
     for name, bad in (("lattice-jarnik", {"radii_squared": [0]}),
-                      ("weyl-table", {"step": 0})):
+                      ("weyl-table", {"step": 0}),
+                      ("torus-l4-sweep", {"max_m": "10"})):
         cfg = tmp_path / "bad-value.json"
         cfg.write_text(json.dumps(bad), encoding="utf-8")
         proc = _cli("run", "--experiment", name, "--config", str(cfg),
                     "--out", str(tmp_path))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("semiclab: "), proc.stderr
-        assert next(iter(bad)) in proc.stderr
+        key, value = next(iter(bad.items()))
+        assert f"{key}={value!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
+    proc = _cli("run", "--experiment", "torus-l4-sweep", "--seed", "-1",
+                "--out", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("semiclab: ") and "seed=-1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_fixture_failure_exits_2(tmp_path):

@@ -1,9 +1,11 @@
-"""Experiment runners: config validation, where files are written, who writes
-them, and what sphere-weinstein's exactness check holds in memory."""
+"""Experiment runners: config rules, unread seeds, where files are written,
+who writes them, and what sphere-weinstein's exactness check holds in memory."""
 
 import ast
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -50,11 +52,111 @@ SRC = pathlib.Path(experiments.__file__).parent
         ("catmap-scar", {"far_radius": 0.0}, "far_radius"),
         ("sphere-concentration", {"kernel_lmax": -1}, "kernel_lmax"),
         ("sphere-concentration", {"equator_lmax": -1}, "equator_lmax"),
+        # values of the wrong type, which crashed naming no key
+        ("torus-l4-sweep", {"max_m": "10"}, "max_m"),
+        ("torus-l4-sweep", {"max_m": 10.5}, "max_m"),
+        ("lattice-jarnik", {"arcs_per_radius": 2.5}, "arcs_per_radius"),
+        ("torus-variance-rate", {"shell_caps": [25, 100.0]}, "shell_caps"),
+        ("lattice-jarnik", {"radii_squared": 25}, "radii_squared"),
+        ("weyl-table", {"lam_max": "20"}, "lam_max"),
+        ("entropy-oracle", {"horizon": 12.5}, "horizon"),
+        ("torus-egorov", {"t_range": float("inf")}, "t_range"),
+        ("torus-egorov", {"t_range": float("nan")}, "t_range"),
+        # a bool is no int, in a list or alone
+        ("catmap-egorov-periods", {"period_max_n": True}, "period_max_n"),
+        ("lattice-jarnik", {"radii_squared": [25, True]}, "radii_squared"),
+        ("torus-egorov", {"t_range": True}, "t_range"),
+        # the seed of every experiment, read or not
+        ("torus-l4-sweep", {"seed": None}, "seed"),
+        ("torus-l4-sweep", {"seed": -1}, "seed"),
+        ("pressure-bowen", {"seed": -1}, "seed"),
+        # bounds that a lower layer checked naming no key, or not at all
+        ("sphere-concentration", {"band_ls": [-1, -2]}, "band_ls"),
+        ("sphere-weinstein", {"band_ls": [0, 10]}, "band_ls"),
+        ("sphere-weinstein", {"L": -1}, "L"),
+        ("catmap-egorov-periods", {"m_range": -1}, "m_range"),
+        ("catmap-egorov-periods", {"m_range": 0}, "m_range"),
+        ("catmap-egorov-periods", {"egorov_ns": [0]}, "egorov_ns"),
+        ("weyl-table", {"lam_max": -1.0}, "lam_max"),
+        ("partition-decay", {"width": -0.1}, "width"),
+        ("partition-decay", {"width": 0.0}, "width"),
+        ("partition-decay", {"n": 0}, "n"),
+        ("partition-decay", {"window": [8]}, "window"),
+        ("entropy-oracle", {"samples": 10}, "samples"),
+        ("entropy-oracle", {"epsilon": 0.25}, "epsilon"),
+        ("sphere-concentration", {"trials": 0}, "trials"),
+        ("torus-l4-sweep", {"states_per_shell": 0}, "states_per_shell"),
+        ("torus-egorov", {"t_range": 0.0}, "t_range"),
+        ("catmap-scar", {"grid": 0}, "grid"),
+        ("catmap-scar", {"n_values": [0]}, "n_values"),
     ],
 )
 def test_config_rejected_naming_the_key(name, overrides, key):
-    with pytest.raises(ValueError, match=key):
+    # the message quotes the key and the value's repr
+    with pytest.raises(ValueError, match=re.escape(f"{key}={overrides[key]!r}")):
         experiments.run_experiment(name, overrides)
+
+
+@pytest.mark.parametrize("name", experiments.experiment_names())
+def test_defaults_pass_their_own_rules(name):
+    exp = experiments.REGISTRY[name]
+    experiments._check_config(name, dict(exp.defaults))
+    for key, text, _ in experiments.config_rules(name):
+        assert key in exp.defaults and key in text, (name, key, text)
+
+
+def test_rule_boundaries_are_accepted():
+    # the smallest configs the rules let through still run
+    for name, overrides in (
+        ("entropy-oracle", {"samples": 1998, "horizon": 2}),
+        ("partition-decay", {"n": 21, "width": 0.25, "max_word": 2, "window": [2, 2]}),
+        ("torus-egorov", {"trials": 1, "max_m": 1, "t_range": 1}),
+        ("sphere-weinstein", {"L": 0, "trials": 1, "band_ls": [1, 2], "band_check_l": 1}),
+    ):
+        experiments.run_experiment(name, overrides)
+
+
+def test_no_runner_raises():
+    # config policy lives in the rule tables and _check_config alone
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    runners = {f.name: f for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name.startswith("_run_")}
+    assert set(runners) == {exp.fn.__name__ for exp in experiments.REGISTRY.values()}
+    for name, fn in runners.items():
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(fn)), name
+
+
+def _reads_seed(fn):
+    # whether the runner's own body reads cfg["seed"]
+    tree = ast.parse(inspect.getsource(fn))
+    return any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)
+               and n.slice.value == "seed" for n in ast.walk(tree))
+
+
+def test_reads_seed_flag_matches_the_runner():
+    unread = {name for name, exp in experiments.REGISTRY.items() if not exp.reads_seed}
+    assert unread == {"weyl-table", "catmap-egorov-periods", "catmap-scar",
+                      "pressure-bowen", "partition-decay"}
+    for name, exp in experiments.REGISTRY.items():
+        assert _reads_seed(exp.fn) == exp.reads_seed, name
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("weyl-table", {"lam_max": 20.0}),
+    ("catmap-egorov-periods", {"egorov_ns": [21], "m_range": 1, "period_max_n": 16}),
+    ("catmap-scar", {"n_values": [504]}),
+    ("pressure-bowen", {}),
+    ("partition-decay", {"n": 55, "max_word": 4, "window": [2, 4]}),
+])
+def test_unread_seed_changes_nothing(name, overrides):
+    exp = experiments.REGISTRY[name]
+    assert not exp.reads_seed
+    seed = exp.defaults["seed"]
+    cfg = dict(exp.defaults, **overrides)
+    # compared as repr, which is how the CSV writer prints floats and which
+    # holds the NaN increment at word length 1 equal to itself
+    first = repr(exp.fn(dict(cfg, seed=seed)))
+    assert first == repr(exp.fn(dict(cfg, seed=seed + 1)))
 
 
 def test_no_out_dir_writes_no_file(tmp_path, monkeypatch):

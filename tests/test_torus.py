@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import experiments, lattice, torus
+from semiclab import lattice, torus
 from semiclab._errors import NumericalSignal
 
 TWO_PI = 2.0 * math.pi
@@ -109,8 +109,6 @@ def test_l4_batch_matches_direct_moment_sum():
 def test_l4_batch_rejects_empty_batch():
     with pytest.raises(ValueError, match="n_states"):
         torus.l4_batch(shell25(), 0, seed=0)
-    with pytest.raises(ValueError, match="n_states"):
-        experiments.run_experiment("torus-l4-sweep", {"max_m": 5, "states_per_shell": 0})
 
 
 def test_exact_l4_dimension_guard():
