@@ -36,7 +36,9 @@ def bowen_masses(orbits, weights, base_idx, eps):
     The t = 0 test runs on those candidates only; its survivors, in
     ascending index order, are then tested step by step: at step t only the
     points that stayed within eps at every earlier step are tested, so the
-    mass is summed exactly as over a full in-ball mask.
+    mass is summed exactly as over a full in-ball mask. A ball depends only
+    on its base's orbit, so each distinct base orbit is scanned once and its
+    mass handed to every base with that orbit.
     """
     M = max(1, int(1.0 / (eps + 1e-9)))     # the pad dwarfs the rounding of x M
     # cell r M + c of each t = 0 point, row r along x; order lists each cell's
@@ -44,8 +46,13 @@ def bowen_masses(orbits, weights, base_idx, eps):
     cell = (np.floor(orbits[0] * M).astype(np.int64) % M) @ (M, 1)
     order = np.argsort(cell, kind="stable")
     bounds = np.searchsorted(cell, np.arange(M * M + 1), sorter=order)
-    out = np.empty(len(base_idx))
-    for i, bi in enumerate(base_idx):
+    base_idx = np.asarray(base_idx)
+    _, first, inverse = np.unique(
+        orbits[:, base_idx].swapaxes(0, 1).reshape(len(base_idx), 2 * orbits.shape[0]),
+        axis=0, return_index=True, return_inverse=True,
+    )
+    out = np.empty(len(first))
+    for i, bi in enumerate(base_idx[first]):
         cx, cy = divmod(int(cell[bi]), M)
         near = [(r % M) * M + c % M for r in (cx - 1, cx, cx + 1) for c in (cy - 1, cy, cy + 1)]
         idx = np.concatenate([order[bounds[c] : bounds[c + 1]] for c in near])
@@ -55,7 +62,8 @@ def bowen_masses(orbits, weights, base_idx, eps):
         for t in range(1, orbits.shape[0]):
             cand = cand[_within(orbits[t, cand], orbits[t, bi], eps)]
         out[i] = weights[cand].sum()
-    return out
+    # the inverse's shape differs across numpy 2.x releases
+    return out[inverse.ravel()]
 
 
 # ------------------------------------------------- batched L4 moment sums
@@ -145,18 +153,18 @@ def husimi_grid(state, G, squeeze=1.0):
 
 # ---------------------------------------------------- Ginibre fill, Haar draw
 
-def _ginibre(rng, d):
-    # the bits of standard_normal((d, d)) + 1j * standard_normal((d, d)),
+def _ginibre(rng, shape):
+    # the bits of standard_normal(shape) + 1j * standard_normal(shape),
     # filled in place: no complex temporary, one float draw at a time
-    G = np.empty((d, d), dtype=complex)
-    G.real = rng.standard_normal((d, d))
-    G.imag = rng.standard_normal((d, d))
+    G = np.empty(shape, dtype=complex)
+    G.real = rng.standard_normal(shape)
+    G.imag = rng.standard_normal(shape)
     return G
 
 
 def _haar_unitary(rng, d):
     # Ginibre QR with the phases of diag(R) divided out: Haar on U(d)
-    G = _ginibre(rng, d)
+    G = _ginibre(rng, (d, d))
     G /= math.sqrt(2)
     Q, R = np.linalg.qr(G)
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()[None, :]

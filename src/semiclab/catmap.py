@@ -53,14 +53,35 @@ class CatMap:
 
 @dataclass(frozen=True)
 class QuantizedCatMap:
+    """U_N(A) as the checked generator word of A, compiled once for
+    `apply_propagator`; the dense matrix U is built on first use."""
+
     cat: CatMap
     N: int
-    U: np.ndarray
-    word: tuple
+    word: tuple = field(init=False)
     steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _compile_word(self.word, self.N))
+        if not self.cat.is_hyperbolic():
+            raise NumericalSignal("non-hyperbolic", f"trace {self.cat.trace}")
+        if self.N < 1:
+            raise ValueError("need N >= 1")
+        word = _decompose(self.cat.matrix())
+        if _word_matrix(word) != self.cat.matrix():
+            raise NumericalSignal("no-period", "generator word does not reproduce the map")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "steps", _compile_word(word, self.N))
+
+    @functools.cached_property
+    def U(self):
+        U = np.eye(self.N, dtype=complex)
+        F = _fourier(self.N)
+        for g, c in reversed(self.word):
+            if g == "J":
+                U = U @ F
+            else:
+                U = U * _shear_diag(self.N, c)[None, :]
+        return U
 
 
 @dataclass(frozen=True)
@@ -172,22 +193,11 @@ def _word_matrix(word):
 
 
 def propagator(A, N):
-    """Unitary quantization of A with exact Egorov: U* T(m) U = theta T(Am)."""
-    if not A.is_hyperbolic():
-        raise NumericalSignal("non-hyperbolic", f"trace {A.trace}")
-    if N < 1:
-        raise ValueError("need N >= 1")
-    word = _decompose(A.matrix())
-    if _word_matrix(word) != A.matrix():
-        raise NumericalSignal("no-period", "generator word does not reproduce the map")
-    U = np.eye(N, dtype=complex)
-    F = _fourier(N)
-    for g, c in reversed(word):
-        if g == "J":
-            U = U @ F
-        else:
-            U = U * _shear_diag(N, c)[None, :]
-    return QuantizedCatMap(A, N, U, word)
+    """Unitary quantization of A with exact Egorov: U* T(m) U = theta T(Am),
+    returned with its dense U already built."""
+    Q = QuantizedCatMap(A, N)
+    Q.U  # the dense build belongs to this call
+    return Q
 
 
 def apply_propagator(Q, v):
@@ -292,7 +302,7 @@ def _matrix_free_period(Q):
     t_cl = classical_period_mod(A, N)
     rng = np.random.default_rng(8191)
     probes = np.zeros((2, N), dtype=complex)
-    probes[0] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    probes[0] = _kernels._ginibre(rng, N)
     probes[0] /= np.linalg.norm(probes[0])
     probes[1][0] = 1.0
     cur = probes
@@ -333,9 +343,7 @@ def scar_record(A, N):
     Returns a record with the projected state, the period, the eigenphase of
     the propagator on it, and the eigenvector residual.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    Q = QuantizedCatMap(A, N, None, _decompose(A.matrix()))
+    Q = QuantizedCatMap(A, N)
     Tq, phase = _matrix_free_period(Q)
     adj = cmath.exp(-1j * cmath.phase(phase) / Tq)
     orbit = np.empty((Tq, N), dtype=complex)

@@ -214,7 +214,9 @@ def _run_torus_egorov(cfg):
 def _run_weyl(cfg):
     lam_max = float(cfg["lam_max"])
     step = float(cfg["step"])
-    lams = [step * i for i in range(1, int(round(lam_max / step)) + 1)]
+    # the multiples of step up to lam_max; the 1e-9 relative slack keeps the
+    # last one when lam_max / step rounds just below an integer
+    lams = [step * i for i in range(1, int(lam_max / step * (1.0 + 1e-9)) + 1)]
     models = {
         "torus-2": spectra.SpectrumModel("torus-n", 2),
         "sphere-2": spectra.SpectrumModel("sphere-2"),
@@ -281,10 +283,11 @@ def _projection_is_exact(L, trials, seed):
     returns.
     """
     rng = np.random.default_rng(seed)
+    D = (L + 1) ** 2
     exact = True
     for _ in range(trials):
         # averaged from the full draw, so a leaked off-block entry shows below
-        P = sphere.quantum_average(_kernels._ginibre(rng, (L + 1) ** 2), L)
+        P = sphere.quantum_average(_kernels._ginibre(rng, (D, D)), L)
         exact &= np.array_equal(P, sphere.quantum_average(P, L))
         for sl in sphere.block_slices(L):
             exact &= not (P[sl, : sl.start].any() or P[sl, sl.stop :].any())

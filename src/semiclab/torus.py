@@ -93,9 +93,7 @@ def random_eigenfunction(shell, seed):
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
     if shell.radius_squared < 1:
         raise ValueError("need radius_squared >= 1")
-    rng = np.random.default_rng(seed)
-    s = len(shell)
-    c = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    c = _kernels._ginibre(np.random.default_rng(seed), len(shell))
     c /= TWO_PI ** (shell.dimension / 2) * np.linalg.norm(c)
     return TorusEigenfunction(shell, c)
 
@@ -137,10 +135,7 @@ def l4_batch(shell, n_states, seed):
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
     if n_states < 1:
         raise ValueError("need n_states >= 1")
-    rng = np.random.default_rng(seed)
-    s = len(shell)
-    C = np.empty((n_states, s), dtype=complex)
-    C.real, C.imag = rng.standard_normal((2, n_states, s))
+    C = _kernels._ginibre(np.random.default_rng(seed), (n_states, len(shell)))
     # S is homogeneous of degree 4, so for the normalized states
     # C / (2pi sqrt(X)) the integral (2pi)^2 S becomes S / (2pi X)^2
     S, X = _kernels.l4_moment_sums(C)

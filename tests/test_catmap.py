@@ -1,6 +1,7 @@
 """Quantized cat maps: translations, propagators, periods, scars, partitions."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -76,8 +77,19 @@ def test_propagator_unitary_and_word():
     assert Q.N == 21 and Q.cat == A
     assert np.abs(Q.U @ Q.U.conj().T - np.eye(21)).max() < 1e-12
     assert catmap._word_matrix(Q.word) == A.matrix()
+    # the record built without the dense matrix builds the same one on first use
+    assert np.array_equal(catmap.QuantizedCatMap(A, 21).U, Q.U)
     with pytest.raises(ValueError):
         catmap.propagator(A, 0)
+
+
+def test_quantized_cat_map_checks_its_input():
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            catmap.QuantizedCatMap(A, N)
+    for B in (catmap.CatMap(1, 1, 0, 1), catmap.CatMap(2, 1, -1, 0), catmap.CatMap(1, 0, 0, 1)):
+        with pytest.raises(NumericalSignal, match="non-hyperbolic"):
+            catmap.QuantizedCatMap(B, 8)
 
 
 def test_propagator_egorov_exact():
@@ -132,7 +144,7 @@ def test_compiled_word_matches_generator_product(cat, word, n_steps):
     word = catmap._decompose(cat.matrix()) if word is None else word
     rng = np.random.default_rng(11)
     for N in list(range(1, 65)) + [504]:
-        Q = catmap.QuantizedCatMap(cat, N, None, word)
+        Q = types.SimpleNamespace(N=N, steps=catmap._compile_word(word, N))
         assert len(Q.steps) == n_steps
         X = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -194,6 +206,14 @@ def test_scar_record_rejects_bad_n():
     for N in (0, -3):
         with pytest.raises(ValueError, match="need N >= 1"):
             catmap.scar_record(A, N)
+
+
+def test_scar_record_builds_no_dense_matrix(monkeypatch):
+    def no_dense(N):
+        raise AssertionError("dense DFT built")
+
+    monkeypatch.setattr(catmap, "_fourier", no_dense)
+    assert catmap.scar_record(A, 504)["period"] == 24
 
 
 def test_coherent_state_shape():
@@ -279,10 +299,9 @@ def test_scarred_state_alias():
 
 def test_frozen_quantum_periods_large():
     # spot checks against the stored admissibility scan
-    word = catmap._decompose(A.matrix())
     for N, t_expect in ((504, 24), (646, 18), (682, 15), (1292, 18), (1705, 30)):
         assert N in catmap.FNDB_ADMISSIBLE_LARGE
-        t, phase = catmap._matrix_free_period(catmap.QuantizedCatMap(A, N, None, word))
+        t, phase = catmap._matrix_free_period(catmap.QuantizedCatMap(A, N))
         assert t == t_expect
         assert abs(abs(phase) - 1.0) < 1e-8
 
@@ -314,7 +333,7 @@ def test_eigensystem_independent_of_propagator_rounding():
         U2 = np.stack([catmap.apply_propagator(Q, e) for e in np.eye(N)], axis=1)
         assert np.abs(U2 - Q.U).max() < 1e-12
         dense = catmap.eigensystem(Q)
-        free = catmap.eigensystem(catmap.QuantizedCatMap(A, N, U2, Q.word))
+        free = catmap.eigensystem(types.SimpleNamespace(N=N, U=U2))
         for (l1, s1), (l2, s2) in zip(dense, free):
             assert abs(l1 - l2) < 1e-10
             assert np.abs(s1.amplitudes - s2.amplitudes).max() < 1e-10
@@ -328,7 +347,7 @@ def test_eigensystem_unseparated_cluster_raises():
     vecs = [e[0] + e[4], e[2] + e[6], e[0] - e[4], e[2] - e[6], e[1], e[3], e[5], e[7]]
     V = np.stack(vecs, axis=1) / np.linalg.norm(vecs, axis=1)
     lam = np.exp(1j * np.array([math.pi, math.pi, 0.1, 0.5, 0.9, 1.3, 1.7, 2.1]))
-    Q = catmap.QuantizedCatMap(A, N, V @ np.diag(lam) @ V.conj().T, ())
+    Q = types.SimpleNamespace(N=N, U=V @ np.diag(lam) @ V.conj().T)
     with pytest.raises(NumericalSignal, match="diagonalization-failure"):
         catmap.eigensystem(Q)
 

@@ -120,6 +120,28 @@ def test_bowen_masses_numpy_against_brute_force():
             assert np.allclose(got, 1.0, rtol=1e-14, atol=0.0), T
 
 
+def test_bowen_masses_scan_each_distinct_base_once():
+    # repeated indices and distinct indices of one point share one scan,
+    # and every base still gets the mass of a scan of its own
+    n_fix, eps, T = 200, 0.05, 6
+    pts = np.vstack([np.zeros((n_fix, 2)), dynamics.uniform_measure(400, 5).points])
+    weights = np.random.default_rng(2).uniform(0.5, 1.5, len(pts))
+    weights /= weights.sum()
+    orbits = dynamics._orbit_array(pts, A, T)
+    rng = np.random.default_rng(3)
+    base_idx = np.concatenate([
+        np.zeros(40, dtype=np.int64),                  # one index, repeated
+        np.arange(n_fix),                              # one point, many indices
+        rng.integers(n_fix, len(pts), 60),             # repeats among the rest
+    ])
+    rng.shuffle(base_idx)
+    got = _kernels.bowen_masses(orbits, weights, base_idx, eps)
+    for i, bi in enumerate(base_idx):
+        one = _kernels.bowen_masses(orbits, weights, base_idx[i : i + 1], eps)
+        assert got[i] == one[0], (i, bi)
+    assert _kernels.bowen_masses(orbits, weights, base_idx[:0], eps).shape == (0,)
+
+
 def test_bowen_masses_peak_memory():
     # the entropy-oracle uniform scan; the candidates stay per base, never
     # one flat array over all bases
@@ -198,11 +220,25 @@ def test_coherent_state_against_period_sum():
 
 
 def test_ginibre_fill_is_the_sum_of_two_draws():
+    # the real parts take the first float draw of the shape and the
+    # imaginary parts the second, so the fill is bitwise the sum of two
+    # draws, and at (n, s) one (2, n, s) draw split into halves
     D = 31 ** 2
     rng = np.random.default_rng(5)
     want = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    got = _kernels._ginibre(np.random.default_rng(5), D)
-    assert got.tobytes() == want.tobytes()
+    got = _kernels._ginibre(np.random.default_rng(5), (D, D))
+    assert got.shape == (D, D) and got.tobytes() == want.tobytes()
+    for s in (1, 12, 504):
+        rng = np.random.default_rng(s)
+        want = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        got = _kernels._ginibre(np.random.default_rng(s), s)
+        assert got.shape == (s,) and got.tobytes() == want.tobytes(), s
+    for n, s in ((1, 4), (60, 12), (7, 128)):
+        rng = np.random.default_rng(n * s)
+        want = np.empty((n, s), dtype=complex)
+        want.real, want.imag = rng.standard_normal((2, n, s))
+        got = _kernels._ginibre(np.random.default_rng(n * s), (n, s))
+        assert got.shape == (n, s) and got.tobytes() == want.tobytes(), (n, s)
 
 
 def test_haar_unitary_scales_the_fill_bitwise():
@@ -211,7 +247,7 @@ def test_haar_unitary_scales_the_fill_bitwise():
     for d in (41, 81, 161):
         rng, ref = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(20):
-            G = _kernels._ginibre(rng, d)
+            G = _kernels._ginibre(rng, (d, d))
             G /= math.sqrt(2)
             want = (ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))) / math.sqrt(2)
             assert G.tobytes() == want.tobytes(), d

@@ -89,3 +89,13 @@ def test_weyl_csv_format(tmp_path):
     assert int(rows[2][1]) == 317
     assert float(rows[2][2]) == pytest.approx(100 * math.pi)
     assert float(rows[2][3]) == 317 - float(rows[2][2])
+
+
+def test_weyl_rows_stop_at_lam_max(tmp_path):
+    # 1.1 is no multiple of 0.2: the table ends at the last multiple below it
+    report = experiments.run_experiment("weyl-table", {"lam_max": 1.1, "step": 0.2}, tmp_path)
+    assert report["outputs"]["rows"] == 5
+    for tag in ("torus-2", "sphere-2"):
+        with open(tmp_path / f"weyl-{tag}.csv", newline="") as fh:
+            lams = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+        assert len(lams) == 5 and lams[-1] == 1.0, tag
