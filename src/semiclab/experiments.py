@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from semiclab import _kernels, catmap, dynamics, lattice, sphere, spectra, torus
+from semiclab import catmap, dynamics, lattice, sphere, spectra, torus
 from semiclab._errors import NumericalSignal
 
 TWO_PI = 2.0 * math.pi
@@ -270,7 +270,12 @@ def _run_sphere_concentration(cfg):
 
 def _projection_is_exact(L, trials, seed):
     """Whether quantum_average is idempotent and commutes with the Laplacian
-    on `trials` seeded Ginibre draws of size D = (L+1)^2.
+    on `trials` seeded D x D fills, D = (L+1)^2, whose real and imaginary
+    parts are uniform on [0, 1).
+
+    The fill's distribution does not matter, only that its entries are
+    finite and nonzero, so that a leaked or altered entry shows: a uniform
+    complex entry is zero with probability 2^-106.
 
     (P Lap - Lap P)_ij = P_ij (lap_j - lap_i), and the Laplacian's diagonal
     lap is l(l+1) on the degree-l block: constant on each block and distinct
@@ -287,7 +292,7 @@ def _projection_is_exact(L, trials, seed):
     exact = True
     for _ in range(trials):
         # averaged from the full draw, so a leaked off-block entry shows below
-        P = sphere.quantum_average(_kernels._ginibre(rng, (D, D)), L)
+        P = sphere.quantum_average(rng.random((D, 2 * D)).view(complex), L)
         exact &= np.array_equal(P, sphere.quantum_average(P, L))
         for sl in sphere.block_slices(L):
             exact &= not (P[sl, : sl.start].any() or P[sl, sl.stop :].any())

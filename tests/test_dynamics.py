@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semiclab import catmap, dynamics, torus
+from semiclab import _kernels, catmap, dynamics, experiments, torus
 from semiclab._errors import NumericalSignal
 
 A = catmap.CatMap(2, 1, 1, 1)
@@ -137,6 +137,30 @@ def test_ks_entropy_regressions():
 def test_ks_entropy_atomic_measure_is_zero():
     mu = dynamics.EmpiricalMeasure(np.zeros((1000, 2)), np.full(1000, 1e-3))
     assert abs(dynamics.ks_entropy_estimate(mu, A, 0.05, 12)) < 1e-12
+
+
+def test_check_10_uniform_balls_hold_only_their_base(monkeypatch):
+    # a diagnosis, not a check: at entropy-oracle's default config almost
+    # every uniform Bowen ball holds only its base point (254 of 256 when
+    # measured), so the uniform estimate reads about ln(P) / T, which lies
+    # near chi only at P = 10^5. An estimator mended to measure entropy
+    # fails this test on purpose.
+    cfg = experiments.REGISTRY["entropy-oracle"].defaults
+    P, T = cfg["samples"], cfg["horizon"]
+    masses = []
+    bowen_masses = _kernels.bowen_masses
+
+    def spy(orbits, weights, base_idx, eps):
+        masses.append(bowen_masses(orbits, weights, base_idx, eps))
+        return masses[-1]
+
+    monkeypatch.setattr(_kernels, "bowen_masses", spy)
+    est = dynamics.ks_entropy_estimate(
+        dynamics.uniform_measure(P, cfg["seed"]), A, cfg["epsilon"], T)
+    (m,) = masses
+    alone = int((np.rint(m * P) == 1).sum())
+    assert alone >= 250 and len(m) == 256, alone
+    assert abs(est - math.log(P) / T) <= 0.01 * CHI, (est, math.log(P) / T)
 
 
 def test_pressure_fixed_point():

@@ -232,6 +232,42 @@ def test_projection_check_catches_a_flawed_average(monkeypatch, flaw):
     assert not experiments._projection_is_exact(L, 2, 0)
 
 
+def test_weinstein_trials_average_uniform_fills(monkeypatch):
+    # each trial averages the next rng.random((D, 2D)) fill viewed as D x D
+    # complex, drawn in sequence from default_rng(seed); every second call
+    # is the idempotence test on that average
+    L, trials, seed = 3, 3, 5
+    D = (L + 1) ** 2
+    seen = []
+    average = sphere.quantum_average
+
+    def spy(B, L):
+        seen.append(np.array(B))
+        return average(B, L)
+
+    monkeypatch.setattr(sphere, "quantum_average", spy)
+    assert experiments._projection_is_exact(L, trials, seed)
+    assert len(seen) == 2 * trials
+    rng = np.random.default_rng(seed)
+    for B in seen[::2]:
+        want = rng.random((D, 2 * D)).view(complex)
+        assert B.shape == (D, D) and B.tobytes() == want.tobytes()
+
+
+_WEINSTEIN = experiments.REGISTRY["sphere-weinstein"].defaults
+
+
+@pytest.mark.parametrize("L, trials, seed", [
+    (3, 2, 0), (30, 2, 5), (_WEINSTEIN["L"], _WEINSTEIN["trials"], _WEINSTEIN["seed"])])
+def test_weinstein_fills_have_no_zero_entry(L, trials, seed):
+    # a zero entry of a fill would hide a leak into that entry; these are
+    # the fills of the tests here and of the default config
+    D = (L + 1) ** 2
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        assert rng.random((D, 2 * D)).view(complex).all()
+
+
 @pytest.mark.parametrize("value", [1e-300, np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
 @pytest.mark.parametrize("entry", [(0, 15), (15, 0), (5, 2), (5, 9), (2, 4)])
 def test_block_zero_test_flags_every_off_block_entry(monkeypatch, value, entry):

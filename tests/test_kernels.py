@@ -1,7 +1,9 @@
 """Hot kernels against slow direct references."""
 
+import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -239,6 +241,28 @@ def test_ginibre_fill_is_the_sum_of_two_draws():
         want.real, want.imag = rng.standard_normal((2, n, s))
         got = _kernels._ginibre(np.random.default_rng(n * s), (n, s))
         assert got.shape == (n, s) and got.tobytes() == want.tobytes(), (n, s)
+
+
+def test_standard_normal_is_drawn_only_in_ginibre():
+    # _ginibre is the one complex Gaussian fill: no other function of the
+    # package names standard_normal, called or not
+    src = pathlib.Path(_kernels.__file__).parent
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "standard_normal"
+                    or isinstance(child, ast.Name) and child.id == "standard_normal"):
+                found.append(scope)
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.name,))
+    # the real and the imaginary half of the fill
+    assert found == [("_kernels.py", "_ginibre")] * 2, found
 
 
 def test_haar_unitary_scales_the_fill_bitwise():
