@@ -8,7 +8,7 @@ built as products of the quantized generators J (a DFT) and lower shears
 (quadratic phase diagonals e^{i pi c j (j+N) / N}); the j(j+N) exponent keeps
 the shear well defined for both parities, so exact Egorov holds with no
 parity correction. The matrix-free path runs the word compiled once per
-(A, N) into a few numpy steps, so importing this module loads no scipy.
+(A, N) into a few numpy steps.
 """
 
 import cmath
@@ -449,19 +449,24 @@ def eigensystem(Q):
     keys, NumericalSignal("diagonalization-failure") is raised instead of
     returning a basis chosen by rounding.
 
+    The basis is built from one numpy.linalg.eig of U: the eigenvectors,
+    sorted by eigenphase, are orthonormalized by one QR, which leaves each
+    vector in its own eigenspace since a unitary's eigenspaces are
+    orthogonal. A residual max|U V - V diag(phases)| above 1e-8 after the QR
+    raises NumericalSignal("diagonalization-failure"), as does a failed
+    orthonormality check. The keys then pick the basis inside each cluster.
+
     Each vector's phase makes its leading component real and positive. The
     leading component is the one of smallest index whose modulus is within
     1e-10 of the largest modulus, since parity-odd vectors have
     |v(j)| = |v(N - j)|.
     """
-    from scipy.linalg import schur
-
     N = Q.N
     try:
-        T, Z = schur(Q.U, output="complex")
-    except Exception as exc:
+        lam, Z = np.linalg.eig(Q.U)
+    except np.linalg.LinAlgError as exc:
         raise NumericalSignal("diagonalization-failure", str(exc))
-    ph = np.diag(T) / np.abs(np.diag(T))
+    ph = lam / np.abs(lam)
     angs = np.angle(ph)
     # with -1 pinned at angle pi every other angle lies above -pi + 1e-8, so
     # no degenerate cluster wraps around the branch cut
@@ -470,9 +475,12 @@ def eigensystem(Q):
     angs[at_minus_one] = math.pi
     order = np.argsort(angs, kind="stable")
     ph, angs = ph[order], angs[order]
-    V = Z[:, order]
+    V = np.linalg.qr(Z[:, order])[0]
     if float(np.abs(V.conj().T @ V - np.eye(N)).max()) > 1e-8:
         raise NumericalSignal("diagonalization-failure", "eigenbasis not orthonormal")
+    residual = float(np.abs(Q.U @ V - V * ph).max())
+    if residual > 1e-8:
+        raise NumericalSignal("diagonalization-failure", f"eigen-residual {residual:.2e}")
     x = np.arange(N) / N
     keys = ((x < 0.5).astype(float), np.cos(2.0 * math.pi * x))
     for idx in _tie_groups(angs):

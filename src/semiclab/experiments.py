@@ -598,7 +598,7 @@ REGISTRY = {
         {"n_values": list(catmap.FNDB_ADMISSIBLE_LARGE), "grid": 64,
          "far_radius": 0.1, "far_exclusion": 0.3, "seed": 0},
         (9,),
-        (_all_ge("n_values", 1), _ge("grid", 1), _gt("far_radius", 0),
+        (_all_ge("n_values", 1), _ge("grid", 8), _gt("far_radius", 0),
          ("far_exclusion", "a 16 x 16 grid center lies >= far_exclusion from the origin",
           lambda c: bool(_far_centers(c["far_exclusion"])))),
         reads_seed=False,

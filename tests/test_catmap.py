@@ -352,6 +352,25 @@ def test_eigensystem_unseparated_cluster_raises():
         catmap.eigensystem(Q)
 
 
+def test_eigensystem_failure_set_small_n():
+    # the two position keys leave a degenerate eigenspace unseparated at
+    # exactly these N <= 64; every other N gets a clean eigenbasis
+    failing = set()
+    for N in range(2, 65):
+        Q = catmap.propagator(A, N)
+        try:
+            pairs = catmap.eigensystem(Q)
+        except NumericalSignal as exc:
+            assert exc.signal == "diagonalization-failure"
+            failing.add(N)
+            continue
+        phases = np.array([lam for lam, _ in pairs])
+        V = np.stack([s.amplitudes for _, s in pairs], axis=1)
+        assert np.abs(Q.U @ V - V * phases[None, :]).max() < 1e-12, N
+        assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-12, N
+    assert failing == {16, 32, 60, 64}
+
+
 def test_eigenbasis_cell_sup_regression():
     # largest cell-averaged phase-space mass over the full eigenbasis; the
     # scarred values sit well below 1 and shrink from N=101 to N=401

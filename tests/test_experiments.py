@@ -88,6 +88,7 @@ SRC = pathlib.Path(experiments.__file__).parent
         ("torus-l4-sweep", {"states_per_shell": 0}, "states_per_shell"),
         ("torus-egorov", {"t_range": 0.0}, "t_range"),
         ("catmap-scar", {"grid": 0}, "grid"),
+        ("catmap-scar", {"grid": 7}, "grid"),
         ("catmap-scar", {"n_values": [0]}, "n_values"),
     ],
 )
@@ -112,6 +113,7 @@ def test_rule_boundaries_are_accepted():
         ("partition-decay", {"n": 21, "width": 0.25, "max_word": 2, "window": [2, 2]}),
         ("torus-egorov", {"trials": 1, "max_m": 1, "t_range": 1}),
         ("sphere-weinstein", {"L": 0, "trials": 1, "band_ls": [1, 2], "band_check_l": 1}),
+        ("catmap-scar", {"grid": 8, "n_values": [504]}),
     ):
         experiments.run_experiment(name, overrides)
 
@@ -195,8 +197,8 @@ def test_only_experiments_writes_files():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only inside eigensystem (schur) and radon_flow
-    # (solve_ivp), which no experiment calls
+    # semiclab needs numpy alone, so neither the package nor the CLI pulls
+    # scipy in
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     for module in ("semiclab.experiments", "semiclab.cli"):
         code = (f"import sys, {module}; "
@@ -204,6 +206,40 @@ def test_import_loads_no_scipy():
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "[]", module
+
+
+_BLOCK_SCIPY = """
+import importlib, pkgutil, sys
+import numpy as np
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import semiclab
+for info in pkgutil.iter_modules(semiclab.__path__):
+    importlib.import_module("semiclab." + info.name)
+from semiclab import catmap, sphere
+pairs = catmap.eigensystem(catmap.propagator(catmap.CatMap(2, 1, 1, 1), 21))
+assert len(pairs) == 21
+V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
+g = sphere.radon_flow(V, sphere.GeodesicPoint(np.array([0.8, 0.0, 0.6])), 0.5)
+assert abs(g.u[2] - 0.6) < 1e-8
+print("ok")
+"""
+
+
+def test_runs_with_scipy_blocked():
+    # every module imports, and the two functions that once used scipy run,
+    # while any import of scipy raises ImportError
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 @pytest.mark.parametrize(

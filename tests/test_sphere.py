@@ -308,6 +308,17 @@ def test_radon_flow_preserves_zonal_height():
     assert sphere.radon_flow(V, g0, 0) is g0
 
 
+def test_radon_flow_matches_closed_form_rotation():
+    # for V = cos^2(theta) the Radon average is (1 - u3^2)/2, so u' = grad R x u
+    # turns u about the pole by the angle -u3 t
+    V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
+    for u, t in (((0.8, 0.0, 0.6), 2.5), ((0.0, -0.6, 0.8), 4.0)):
+        g1 = sphere.radon_flow(V, sphere.GeodesicPoint(np.array(u)), t)
+        r, phi0 = math.hypot(u[0], u[1]), math.atan2(u[1], u[0])
+        phi = phi0 - u[2] * t
+        assert np.abs(g1.u - [r * math.cos(phi), r * math.sin(phi), u[2]]).max() < 1e-9
+
+
 def test_radon_flow_conserves_energy():
     # real non-zonal observable: Y_{2,1} - Y_{2,-1}
     V = [np.zeros(1, dtype=complex), np.zeros(3, dtype=complex),
