@@ -88,8 +88,8 @@ SRC = pathlib.Path(experiments.__file__).parent
         ("torus-l4-sweep", {"states_per_shell": 0}, "states_per_shell"),
         ("torus-egorov", {"t_range": 0.0}, "t_range"),
         ("catmap-scar", {"grid": 0}, "grid"),
-        ("catmap-scar", {"grid": 7}, "grid"),
         ("catmap-scar", {"n_values": [0]}, "n_values"),
+        ("catmap-scar", {"grid": 7}, "grid"),
     ],
 )
 def test_config_rejected_naming_the_key(name, overrides, key):
