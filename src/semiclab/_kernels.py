@@ -88,7 +88,8 @@ def l4_moment_sums(C):
     |Y| <= X and F, Z >= 0 bound this by 3 X^2, which is where the L4 bound
     3 / (2pi)^2 for normalized states comes from. The identity needs n = 2.
     """
-    A = C.real**2 + C.imag**2
+    A = C.real**2
+    A += C.imag**2
     s = C.shape[1]
     h = s // 2
     X = np.einsum("ij->i", A)

@@ -67,15 +67,66 @@ def _shells(max_m):
     return (s for s in lattice.shells_2d(max_m) if s.radius_squared and len(s))
 
 
+def _map_on_cores(fn, items):
+    """[fn(x) for x in items], run on this thread and one helper thread per
+    further core the process may use.
+
+    Every thread takes the next item from the one iterator under a lock, so
+    no thread holds more than one item and items are drawn lazily, and it
+    writes fn's result to that item's index. The helpers live only for this
+    call. The first exception in any thread stops every thread from taking
+    items; once all helpers are joined it is raised unchanged.
+    """
+    import threading
+
+    items = enumerate(items)
+    lock = threading.Lock()
+    results, errors = {}, []
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    if errors:
+                        return
+                    item = next(items, None)
+                if item is None:
+                    return
+                results[item[0]] = fn(item[1])
+        except BaseException as exc:  # handed to the main thread, which raises it
+            with lock:
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(len(os.sched_getaffinity(0)) - 1):
+            t = threading.Thread(target=drain, name="semiclab-helper")
+            t.start()
+            helpers.append(t)
+    except BaseException as exc:  # a helper failed to start: stop the others
+        with lock:
+            errors.append(exc)
+    drain()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    return [results[i] for i in range(len(results))]
+
+
 def _run_l4_sweep(cfg):
     bound = 3.0 / TWO_PI**2
-    rows = []
-    best_val, best_m = 0.0, 0
-    for shell in _shells(cfg["max_m"]):
+
+    def row(shell):
         m = shell.radius_squared
         vals = torus.l4_batch(shell, cfg["states_per_shell"], (cfg["seed"], m))
-        top = float(vals.max())
-        rows.append((m, len(shell), top))
+        return m, len(shell), float(vals.max())
+
+    # each shell draws from its own (seed, m) generator, so the rows do not
+    # depend on which thread ran them
+    rows = _map_on_cores(row, _shells(cfg["max_m"]))
+    best_val, best_m = 0.0, 0
+    for m, _, top in rows:
         if top > best_val:
             best_val, best_m = top, m
     outputs = {

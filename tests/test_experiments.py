@@ -1,5 +1,6 @@
 """Experiment runners: config rules, unread seeds, where files are written,
-who writes them, and what sphere-weinstein's exactness check holds in memory."""
+who writes them, what sphere-weinstein's exactness check holds in memory,
+and the L4 sweep on several threads."""
 
 import ast
 import inspect
@@ -8,12 +9,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from semiclab import catmap, experiments, sphere
+from semiclab import catmap, experiments, lattice, sphere, torus
+from semiclab._errors import NumericalSignal
 
 SRC = pathlib.Path(experiments.__file__).parent
 
@@ -353,3 +356,114 @@ def test_weinstein_holds_at_most_two_dense_matrices():
         tracemalloc.stop()
     assert outputs["exact_projection"] and passed
     assert peak <= 2.5 * D * D * 16, peak / (D * D * 16)
+
+
+_SMALL_SWEEP = {"max_m": 2000, "states_per_shell": 50}
+
+
+def _force_cores(monkeypatch, cores):
+    # the sweep reads its core count from the process's CPU affinity
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def _sweep_files(out_dir):
+    # the CSV bytes, and the report's bytes without its wall-time line
+    csv_bytes = (out_dir / "l4-sweep.csv").read_bytes()
+    report = (out_dir / "torus-l4-sweep-report.json").read_text(encoding="utf-8")
+    return csv_bytes, [line for line in report.splitlines() if "wall_time_s" not in line]
+
+
+def test_l4_sweep_is_bitwise_the_serial_loop_for_any_core_count(monkeypatch, tmp_path):
+    # the direct serial loop: one l4_batch per nonempty shell, in increasing m
+    seed = experiments.REGISTRY["torus-l4-sweep"].defaults["seed"]
+    rows = []
+    for shell in lattice.shells_2d(_SMALL_SWEEP["max_m"]):
+        m = shell.radius_squared
+        if m and len(shell):
+            vals = torus.l4_batch(shell, _SMALL_SWEEP["states_per_shell"], (seed, m))
+            rows.append((m, len(shell), float(vals.max())))
+    experiments._write_csv(tmp_path / "serial.csv", ("radius_squared", "shell_size", "max_l4"), rows)
+    top = max(r[2] for r in rows)
+    seen = []
+    for cores in (1, 2, 3):
+        _force_cores(monkeypatch, cores)
+        out_dir = tmp_path / f"cores-{cores}"
+        report = experiments.run_experiment("torus-l4-sweep", _SMALL_SWEEP, out_dir)
+        assert report["outputs"]["max_l4"] == top
+        assert report["outputs"]["argmax_radius_squared"] == next(r[0] for r in rows if r[2] == top)
+        assert report["outputs"]["shells"] == len(rows) and report["pass"]
+        seen.append(_sweep_files(out_dir))
+    assert seen[0][0] == (tmp_path / "serial.csv").read_bytes()
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+@pytest.mark.parametrize("where", ["main", "helper"])
+def test_l4_sweep_raises_a_batch_signal_unchanged(monkeypatch, where):
+    # the main thread raises at its first batch; or the helper raises once
+    # the main thread holds a batch, which it finishes after the raise; the
+    # signal surfaces as raised, the others stop taking shells and no
+    # thread outlives the call
+    _force_cores(monkeypatch, 2)
+    signal = NumericalSignal("empty-shell", f"raised on the {where} thread")
+    main_took, helper_raised = threading.Event(), threading.Event()
+    calls = []
+    l4_batch = torus.l4_batch
+
+    def failing(shell, n_states, seed):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append(on_main)
+        if on_main == (where == "main"):
+            if not on_main:
+                assert main_took.wait(10), "the main thread took no shell"
+                helper_raised.set()
+            raise signal
+        if on_main and not main_took.is_set():
+            main_took.set()
+            assert helper_raised.wait(10), "the helper did not raise"
+        return l4_batch(shell, n_states, seed)
+
+    monkeypatch.setattr(torus, "l4_batch", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(NumericalSignal) as info:
+        experiments.run_experiment("torus-l4-sweep", _SMALL_SWEEP)
+    assert info.value is signal
+    assert set(threading.enumerate()) == before
+    assert True in calls and (where == "main" or False in calls)
+    shells = sum(1 for _ in experiments._shells(_SMALL_SWEEP["max_m"]))
+    assert len(calls) < shells // 2, (len(calls), shells)
+
+
+def test_l4_sweep_holds_at_most_one_shell_per_thread(monkeypatch):
+    # shells are drawn lazily, one per thread at a time: counted when the
+    # generator hands one out and when its batch returns; three threads on
+    # this many cores or fewer, switching as often as the interpreter can
+    cores = 3
+    _force_cores(monkeypatch, cores)
+    lock = threading.Lock()
+    count = {"taken": 0, "finished": 0, "most": 0}
+    shells = experiments._shells
+    l4_batch = torus.l4_batch
+
+    def counted_shells(max_m):
+        for shell in shells(max_m):
+            with lock:
+                count["taken"] += 1
+                count["most"] = max(count["most"], count["taken"] - count["finished"])
+            yield shell
+
+    def counted_batch(shell, n_states, seed):
+        vals = l4_batch(shell, n_states, seed)
+        with lock:
+            count["finished"] += 1
+        return vals
+
+    monkeypatch.setattr(experiments, "_shells", counted_shells)
+    monkeypatch.setattr(torus, "l4_batch", counted_batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = experiments.run_experiment("torus-l4-sweep", _SMALL_SWEEP)
+    finally:
+        sys.setswitchinterval(interval)
+    assert count["taken"] == count["finished"] == report["outputs"]["shells"]
+    assert 1 <= count["most"] <= cores

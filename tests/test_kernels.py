@@ -159,6 +159,23 @@ def test_bowen_masses_peak_memory():
     assert peak <= 5e6, peak
 
 
+def test_l4_batch_peak_memory():
+    # one batch of the L4 sweep on its largest shell, m = 5525 with s = 48:
+    # the 1000 x 48 complex fill C (0.77 MB) and at most two float arrays of
+    # its shape (0.38 MB each) at once; measured at 1.54 MB. The warm-up call
+    # keeps the process's one-off allocations (0.76 MB more) out of the peak.
+    shell = lattice.enumerate_shell(5525, 2)
+    assert len(shell) == 48
+    torus.l4_batch(shell, 1000, (42, 5525))
+    tracemalloc.start()
+    try:
+        torus.l4_batch(shell, 1000, (42, 5525))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6, peak
+
+
 def _l4_states(shell, seed):
     # random states, one real psi (c_{-k} = conj c_k) and one on a diameter
     s = len(shell)
