@@ -305,40 +305,39 @@ def _matrix_free_period(Q):
     probes[0] = _kernels._ginibre(rng, N)
     probes[0] /= np.linalg.norm(probes[0])
     probes[1][0] = 1.0
+    lead = (np.arange(2), np.argmax(np.abs(probes), axis=1))
     cur = probes
-    t = 0
-    found = None
-    while t + t_cl <= bound:
+    for t in range(t_cl, math.floor(bound) + 1, t_cl):
         for _ in range(t_cl):
             cur = apply_propagator(Q, cur)
-        t += t_cl
-        scal = None
-        ok = True
-        for v0, vt in zip(probes, cur):
-            i = int(np.argmax(np.abs(v0)))
-            s = vt[i] / v0[i]
-            if abs(abs(s) - 1.0) > 1e-8 or float(np.abs(vt - s * v0).max()) > 1e-8:
-                ok = False
-                break
-            if scal is None:
-                scal = s
-            elif abs(s - scal) > 1e-8:
-                ok = False
-                break
-        if ok:
-            found = (t, scal / abs(scal))
-            break
-    if found is None:
-        raise NumericalSignal(
-            "not-admissible",
-            f"N={N}: no quantum period within 4 ln N / chi = {bound:.2f}",
-        )
-    return found
+        s = cur[lead] / probes[lead]
+        if not (
+            (np.abs(np.abs(s) - 1.0) > 1e-8).any()
+            or float(np.abs(cur - s[:, None] * probes).max()) > 1e-8
+            or abs(s[1] - s[0]) > 1e-8
+        ):
+            return t, s[0] / abs(s[0])
+    raise NumericalSignal(
+        "not-admissible",
+        f"N={N}: no quantum period within 4 ln N / chi = {bound:.2f}",
+    )
+
+
+def _eigenphase_projections(orbit):
+    # U_adj^k of the sum of orbit rows -T//2..T//2 is a circular window sum
+    # of orbit rows; the window counts each residue mod T of that range
+    T = len(orbit)
+    window = np.bincount(np.arange(-(T // 2), T // 2 + 1) % T, minlength=T)
+    return np.fft.fft(orbit, axis=0) * np.conj(np.fft.fft(window))[:, None] / T
 
 
 def scar_record(A, N):
     """Scarred-state pipeline: short quantum period, symmetric coherent-state
     sum over one period, projection onto the nearest eigenspace.
+
+    With F the DFT across k of the orbit U_adj^k phi_0, k < T, the projection
+    onto the eigenphase 2 pi r / T of U_adj is F_r (T delta_{r0} + (-1)^r) / T
+    for even T and F_0 delta_{r0} for odd T; the largest one is kept.
 
     Returns a record with the projected state, the period, the eigenphase of
     the propagator on it, and the eigenvector residual.
@@ -350,15 +349,7 @@ def scar_record(A, N):
     orbit[0] = _coherent_array(N, 0.0, 0.0)
     for k in range(1, Tq):
         orbit[k] = adj * apply_propagator(Q, orbit[k - 1])
-    half = Tq // 2
-    ks = np.arange(-half, half + 1)
-    psi = orbit[ks % Tq].sum(axis=0)
-    psi /= np.linalg.norm(psi)
-    # U_adj^k psi is a sum of shifted orbit rows, so the projector onto each
-    # eigenphase 2 pi r / Tq of U_adj is a DFT across shifts
-    shifts = np.stack([orbit[(ks + k) % Tq].sum(axis=0) for k in range(Tq)])
-    w = np.exp(-2j * np.pi * np.outer(np.arange(Tq), np.arange(Tq)) / Tq)
-    proj_all = (w @ shifts) / Tq
+    proj_all = _eigenphase_projections(orbit)
     norms = np.linalg.norm(proj_all, axis=1)
     r = int(np.argmax(norms))
     proj = proj_all[r] / norms[r]
@@ -391,6 +382,8 @@ def husimi(s, grid, squeeze=1.0):
 def ball_masks(G, centers, radius):
     """(k, G, G) boolean masks of the G x G grid cells, centers at (i+1/2)/G,
     inside the torus-metric ball of the given radius about each of k centers."""
+    if not radius >= 0:
+        raise ValueError(f"need radius >= 0: radius={radius!r}")
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
     g = (np.arange(G) + 0.5) / G
     x = np.abs(g[None, :, None] - c[:, 0, None, None]) % 1.0

@@ -123,6 +123,8 @@ def ks_entropy_estimate(mu, A, epsilon, T, n_bases=256):
         raise ValueError("need epsilon in (0, 1/4)")
     if T < 2:
         raise ValueError("need T >= 2")
+    if n_bases < 1:
+        raise ValueError(f"need n_bases >= 1: n_bases={n_bases!r}")
     cum = np.cumsum(mu.weights)
     marks = (np.arange(n_bases) + 0.5) / n_bases
     base_idx = np.searchsorted(cum, marks).astype(np.int64)

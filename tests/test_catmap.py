@@ -244,6 +244,8 @@ def test_husimi_normalization_and_ball_mass():
     # the packet is concentrated at its center
     assert catmap.mass_in_ball(H, (0.3, 0.7), 0.1) > 0.9
     assert catmap.mass_in_ball(H, (0.8, 0.2), 0.1) < 1e-6
+    with pytest.raises(ValueError, match="radius"):
+        catmap.mass_in_ball(H, (0.3, 0.7), -0.1)
     with pytest.raises(ValueError):
         catmap.husimi(s, 4)
     for squeeze in (0.0, -1.0):
@@ -274,21 +276,112 @@ def test_ball_masks_match_one_center_at_a_time():
     # centers ((2a + 1) / 128, (2b + 1) / 128) lie within 0.1 = 12.8 / 128
     inside = sum((2 * a + 1) ** 2 + (2 * b + 1) ** 2 <= 163 for a in range(8) for b in range(8))
     assert catmap.ball_masks(64, [(0.0, 0.0)], 0.1)[0].sum() == 4 * inside
+    # a negative radius is not squared into a positive one
+    for radius in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            catmap.ball_masks(64, centers, radius)
 
 
 def test_scar_record_regression():
+    # N = 682 is the first configured N of odd period
+    for N, T, frozen in ((504, 24, 0.18123712305608428), (682, 15, 0.19133174932532568)):
+        rec = catmap.scar_record(A, N)
+        assert rec["period"] == T
+        assert abs(abs(rec["period_phase"]) - 1.0) < 1e-10
+        assert abs(abs(rec["eigenphase"]) - 1.0) < 1e-10
+        assert rec["residual"] < 1e-10
+        # the state is a genuine eigenvector of the dense propagator
+        Q = catmap.propagator(A, N)
+        psi = rec["state"].amplitudes
+        assert np.abs(Q.U @ psi - rec["eigenphase"] * psi).max() < 1e-10
+        mass = catmap.mass_in_ball(catmap.husimi(rec["state"], 64), (0.0, 0.0), N ** -0.25)
+        assert abs(mass - frozen) < 1e-9, N
+
+
+def _scar_orbit(N):
+    # the orbit U_adj^k phi_0, k < T, that scar_record projects
+    Q = catmap.QuantizedCatMap(A, N)
+    T, phase = catmap._matrix_free_period(Q)
+    adj = np.exp(-1j * np.angle(phase) / T)
+    orbit = [catmap._coherent_array(N, 0.0, 0.0)]
+    for _ in range(T - 1):
+        orbit.append(adj * catmap.apply_propagator(Q, orbit[-1]))
+    return np.array(orbit)
+
+
+def _slow_projections(orbit):
+    # slow reference: U_adj^k of the sum over k = -T//2..T//2 is the sum of
+    # orbit rows shifted by k, and the projector onto eigenphase 2 pi r / T
+    # is the T x T DFT across those T shifted sums
+    T = len(orbit)
+    ks = np.arange(-(T // 2), T // 2 + 1)
+    shifts = np.stack([orbit[(ks + k) % T].sum(axis=0) for k in range(T)])
+    w = np.exp(-2j * np.pi * np.outer(np.arange(T), np.arange(T)) / T)
+    return (w @ shifts) / T
+
+
+@pytest.mark.parametrize("N, T", [(504, 24), (646, 18), (682, 15)])
+def test_eigenphase_projections_match_the_shift_sums(N, T):
+    orbit = _scar_orbit(N)
+    assert orbit.shape == (T, N)
+    fast = catmap._eigenphase_projections(orbit)
+    slow = _slow_projections(orbit)
+    norms = np.linalg.norm(fast, axis=1)
+    assert np.linalg.norm(fast - slow, axis=1).max() <= 1e-12 * norms.max()
+    if T % 2:
+        # the window counts every residue once: only r = 0 survives
+        assert norms[1:].max() <= 1e-12 * norms[0]
+    else:
+        # the residue T/2 counted twice leaves |F_r| / T at r != 0
+        F = np.linalg.norm(np.fft.fft(orbit, axis=0), axis=1)
+        expect = F * np.where(np.arange(T) == 0, T + 1, 1) / T
+        assert np.allclose(norms, expect, rtol=1e-12, atol=0)
+
+
+def test_matrix_free_period_keeps_each_rejection(monkeypatch):
+    # one diagonal step in place of the compiled word, and the Ginibre probe
+    # kept or pointed at a given vector
     N = 504
-    rec = catmap.scar_record(A, N)
-    assert rec["period"] == 24
-    assert abs(abs(rec["period_phase"]) - 1.0) < 1e-10
-    assert abs(abs(rec["eigenphase"]) - 1.0) < 1e-10
-    assert rec["residual"] < 1e-10
-    # the state is a genuine eigenvector of the dense propagator
-    Q = catmap.propagator(A, N)
-    psi = rec["state"].amplitudes
-    assert np.abs(Q.U @ psi - rec["eigenphase"] * psi).max() < 1e-10
-    mass = catmap.mass_in_ball(catmap.husimi(rec["state"], 64), (0.0, 0.0), N ** -0.25)
-    assert abs(mass - 0.18123712305608428) < 1e-9
+    t_cl = catmap.classical_period_mod(A, N)
+    assert t_cl <= 4.0 * math.log(N) / CHI  # at least one candidate period
+    draw = catmap._kernels._ginibre
+
+    def period(d, probe=None):
+        monkeypatch.setattr(
+            catmap._kernels, "_ginibre",
+            draw if probe is None else lambda rng, shape: probe.astype(complex),
+        )
+        Q = catmap.QuantizedCatMap(A, N)
+        object.__setattr__(Q, "steps", (lambda v: d * v,))
+        return catmap._matrix_free_period(Q)
+
+    def e(j):
+        return np.eye(N)[j]
+
+    ones = np.ones(N, dtype=complex)
+    spread = np.exp(1j * np.arange(N))
+    # (a) e0 is an eigenvector and the random probe is not
+    with pytest.raises(NumericalSignal, match="not-admissible"):
+        period(spread)
+    # the block's deviation alone: both ratios read 1 at the leading entries
+    d = ones.copy()
+    d[2] = np.exp(1j)
+    with pytest.raises(NumericalSignal, match="not-admissible"):
+        period(d, 2 * e(1) + e(2))
+    # (b) both probes are eigenvectors, with eigenvalues 1 and e^i
+    d = ones.copy()
+    d[1] = np.exp(1j)
+    with pytest.raises(NumericalSignal, match="not-admissible"):
+        period(d, e(1))
+    # the modulus alone: one shared eigenvalue off the unit circle
+    with pytest.raises(NumericalSignal, match="not-admissible"):
+        period(1.01 * ones, e(1))
+    # (c) both probes share one eigenvalue: the first candidate and its phase
+    d = np.exp(0.5j) * spread
+    d[1] = d[0]
+    t, phase = period(d, e(1))
+    assert t == t_cl
+    assert abs(phase - np.exp(0.5j * t_cl)) < 1e-12
 
 
 def test_scarred_state_alias():

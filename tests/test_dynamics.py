@@ -115,6 +115,9 @@ def test_ks_entropy_validation():
         dynamics.ks_entropy_estimate(mu, A, 0.0, 12)
     with pytest.raises(ValueError, match="T >= 2"):
         dynamics.ks_entropy_estimate(mu, A, 0.05, 1)
+    for n_bases in (0, -1):
+        with pytest.raises(ValueError, match="n_bases"):
+            dynamics.ks_entropy_estimate(mu, A, 0.05, 12, n_bases=n_bases)
 
 
 def test_ks_entropy_regressions():

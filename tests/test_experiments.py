@@ -343,6 +343,16 @@ def test_scar_builds_its_far_masks_once(monkeypatch):
     assert len(experiments._far_centers(0.3)) > 1
 
 
+def test_scar_far_mass_is_the_largest_single_ball_mass():
+    # reference: one mass_in_ball per far center; the one product sums in
+    # another order, so equality is to a few ulps of a mass <= 1
+    report = experiments.run_experiment("catmap-scar", {"n_values": [504, 682]})
+    for N, far in zip((504, 682), report["outputs"]["max_far_masses"]):
+        H = catmap.husimi(catmap.scar_record(catmap.CatMap(2, 1, 1, 1), N)["state"], 64)
+        ref = max(catmap.mass_in_ball(H, c, 0.1) for c in experiments._far_centers(0.3))
+        assert abs(far - ref) <= 1e-15, (N, far, ref)
+
+
 def test_weinstein_holds_at_most_two_dense_matrices():
     # each trial's draw, average and full-size products once peaked at 5.16
     # D x D complex matrices
