@@ -386,11 +386,15 @@ def ball_masks(G, centers, radius):
         raise ValueError(f"need radius >= 0: radius={radius!r}")
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
     g = (np.arange(G) + 0.5) / G
-    x = np.abs(g[None, :, None] - c[:, 0, None, None]) % 1.0
-    y = np.abs(g[None, None, :] - c[:, 1, None, None]) % 1.0
-    x = np.minimum(x, 1.0 - x)
-    y = np.minimum(y, 1.0 - y)
-    return x * x + y * y <= radius * radius
+    # one center at a time: no float64 (k, G, G) distance stack
+    out = np.empty((len(c), G, G), dtype=bool)
+    for k, (cx, cy) in enumerate(c):
+        x = np.abs(g[:, None] - cx) % 1.0
+        y = np.abs(g[None, :] - cy) % 1.0
+        x = np.minimum(x, 1.0 - x)
+        y = np.minimum(y, 1.0 - y)
+        out[k] = x * x + y * y <= radius * radius
+    return out
 
 
 def mass_in_ball(H, center, radius):

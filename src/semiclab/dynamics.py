@@ -58,13 +58,16 @@ def uniform_measure(n_points, seed):
 def birkhoff_average_torus(a, x, xi, T):
     """Finite-time geodesic-flow average (1/T) int_0^T a(x + t xi) dt,
     by exact integration of each Fourier mode."""
-    if T <= 0:
-        raise ValueError("need T > 0")
+    if not 0 < T < math.inf:
+        raise ValueError(f"need finite T > 0: T={T!r}")
     if not a.is_x_only():
         raise ValueError("need an x-only symbol")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    xi = xi / np.linalg.norm(xi)
+    norm = float(np.linalg.norm(xi))
+    if not 0 < norm < math.inf:
+        raise ValueError(f"direction must be finite and nonzero: xi={xi.tolist()!r}")
+    xi = xi / norm
     total = 0.0 + 0.0j
     for p, coef in a.terms.items():
         z = float(np.dot(p, xi)) * T
@@ -160,7 +163,12 @@ def pressure_periodic_orbit(gamma, s):
 
 
 def bowen_root(pressure_fn, tol=1e-9):
-    """Unique root in [0,1] of a continuous decreasing pressure function."""
+    """Unique root in [0,1] of a continuous decreasing pressure function.
+
+    Bisects until the bracket is at most tol wide or its ends are adjacent
+    floats, whichever comes first."""
+    if not tol > 0:
+        raise ValueError(f"need tol > 0: tol={tol!r}")
     p0 = pressure_fn(0.0)
     p1 = pressure_fn(1.0)
     if p0 < 0 or p1 > 0:
@@ -172,6 +180,8 @@ def bowen_root(pressure_fn, tol=1e-9):
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         v = pressure_fn(mid)
         if v == 0.0:
             return mid

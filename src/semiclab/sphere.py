@@ -181,21 +181,6 @@ def random_onb(l, seed):
     return [SphericalState(l, Q[:, j].copy()) for j in range(d)]
 
 
-def zonal_diagonal(l, a):
-    """Diagonal matrix elements <Y_lm, a(cos theta) Y_lm>, m = -l..l, for a
-    polynomial a (coefficient list); Gauss-Legendre, exact for the degrees."""
-    a = np.asarray(list(a), dtype=float)
-    deg = len(a) - 1
-    x, w = np.polynomial.legendre.leggauss(l + deg + 2)
-    av = np.polynomial.polynomial.polyval(x, a)
-    Pl = _norm_legendre(l, x)[:, l, :]
-    dpos = 2.0 * math.pi * ((w * av)[:, None] * Pl**2).sum(axis=0)
-    out = np.empty(2 * l + 1)
-    out[l:] = dpos
-    out[:l] = dpos[1:][::-1]
-    return out
-
-
 def alpha_cos2(l):
     """Closed-form <Y_lm, cos^2 theta Y_lm> for m = -l..l."""
     m = np.arange(-l, l + 1, dtype=float)
@@ -217,7 +202,7 @@ def concentration_experiment(l, a, trials, seed):
     mean = sum(c / (i + 1.0) for i, c in enumerate(a) if i % 2 == 0)
     if abs(mean) > 1e-12 * max(1.0, max(abs(c) for c in a)):
         raise ValueError("observable must have zero spherical mean")
-    diag = zonal_diagonal(l, a)
+    diag = band_compression(zonal_from_polynomial(a, len(a) - 1), l).diagonal().real
     rng = np.random.default_rng(seed)
     d = 2 * l + 1
     sups = np.empty(trials)
@@ -278,6 +263,8 @@ def radon_flow(V, gamma0, t):
     n = 16 and doubling n until two successive runs agree to 1e-10 in max
     norm; NumericalSignal("step-failure") is raised if n passes 2**16.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"need finite t: t={t!r}")
     if t == 0:
         return gamma0
     h = 1e-5
@@ -342,27 +329,25 @@ def quantum_average(B, L):
     return out
 
 
-def _compression_matrix(V, l, extra_theta=0, extra_phi=0):
+def _compression_matrix(V, l, extra_theta=0):
+    # <Y_lm, V Y_lm'> = 2pi int g_{m-m'}(x) Theta_lm(x) Theta_lm'(x) dx, where
+    # g_d = sum_k V_k[d] Theta_kd is the e^{id phi} mode of V; the integrand
+    # is a polynomial of degree <= 2l + deg V, which the nodes integrate exactly
     LV = len(V) - 1
-    n_theta = l + LV // 2 + 4 + extra_theta
-    n_phi = 2 * l + LV + 8 + extra_phi
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    theta = np.arccos(x)
-    tt = np.repeat(theta, n_phi)
-    pp = np.tile(phis, n_theta)
-    vals = evaluate_coefficients(V, tt, pp).reshape(n_theta, n_phi)
-    # phi integral via DFT: F[j, d] = sum_k V[j, k] e^{i d phi_k}
-    F = np.fft.ifft(vals, axis=1) * n_phi
-    ms = np.arange(-l, l + 1)
-    D = (ms[None, :] - ms[:, None]) % n_phi
-    Pl = _norm_legendre(l, x)[:, l, :]
-    rows = _assemble_rows(Pl, np.zeros(len(x))).real
-    wq = w * (2.0 * math.pi / n_phi)
-    # one node at a time: the (n_theta, 2l+1, 2l+1) stack F[:, D] is never built
+    x, w = np.polynomial.legendre.leggauss(l + LV // 2 + 4 + extra_theta)
+    P = _norm_legendre(max(l, LV), x)
+    zero = np.zeros(len(x))
+    g = np.zeros((len(x), 2 * LV + 1), dtype=complex)  # column LV + d holds g_d
+    for k, c in enumerate(V):
+        c = np.asarray(c, dtype=complex)
+        if len(c) != 2 * k + 1:
+            raise ValueError("coefficient block has wrong length")
+        g[:, LV - k : LV + k + 1] += _assemble_rows(P[:, k, : k + 1], zero).real * c
+    rows = _assemble_rows(P[:, l, : l + 1], zero).real
     M = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
-    for j in range(n_theta):
-        M += (wq[j] * np.outer(rows[j], rows[j])) * F[j, D]
+    for d in range(-min(LV, 2 * l), min(LV, 2 * l) + 1):
+        i = np.arange(max(d, 0), 2 * l + 1 + min(d, 0))  # rows m with |m - d| <= l
+        M[i, i - d] = 2.0 * math.pi * ((w * g[:, LV + d]) @ (rows[:, i] * rows[:, i - d]))
     return 0.5 * (M + M.conj().T)
 
 
@@ -372,7 +357,7 @@ def band_compression(V, l):
     if l < 1:
         raise ValueError("need l >= 1")
     M = _compression_matrix(V, l)
-    M2 = _compression_matrix(V, l, extra_theta=4, extra_phi=8)
+    M2 = _compression_matrix(V, l, extra_theta=4)
     if float(np.abs(M - M2).max()) > 1e-9:
         raise NumericalSignal("quadrature-underresolved", f"l={l}")
     return M2

@@ -1,6 +1,7 @@
 """Quantized cat maps: translations, propagators, periods, scars, partitions."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -280,6 +281,20 @@ def test_ball_masks_match_one_center_at_a_time():
     for radius in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="radius"):
             catmap.ball_masks(64, centers, radius)
+
+
+def test_ball_masks_peak_memory():
+    # 180 masks at G = 64 are 0.74 MB of booleans; a float64 (k, G, G)
+    # distance stack would add 5.9 MB on top
+    centers = np.random.default_rng(5).random((180, 2))
+    tracemalloc.start()
+    try:
+        masks = catmap.ball_masks(64, centers, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (180, 64, 64)
+    assert peak < 2.5e6, peak
 
 
 def test_scar_record_regression():

@@ -81,6 +81,12 @@ def test_birkhoff_average_decay_and_validation():
         dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, 0.0)
     with pytest.raises(ValueError, match="x-only"):
         dynamics.birkhoff_average_torus(torus.momentum_symbol(lambda z: 1.0), (0, 0), xi, 1.0)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite T > 0"):
+            dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, T)
+    for bad in ((0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            dynamics.birkhoff_average_torus(a, (0.0, 0.0), bad, 1.0)
 
 
 def test_direction_rank():
@@ -197,6 +203,21 @@ def test_bowen_root():
     assert abs(dynamics.bowen_root(lambda s: math.cos(s) - s) - 0.7390851332151607) <= 1e-9
     with pytest.raises(NumericalSignal, match="no-sign-change"):
         dynamics.bowen_root(lambda s: s - 2.0)
+
+
+def test_bowen_root_stops_at_adjacent_floats():
+    # a tol below the float spacing ends the bisection at adjacent floats,
+    # where the midpoint equals one end; tol = 0 is rejected, not looped on
+    def pressure(s):
+        return math.exp(-s) - 0.5 - 0.1 * s
+
+    root = dynamics.bowen_root(pressure, tol=1e-300)
+    assert abs(pressure(root)) <= 4e-16
+    assert pressure(math.nextafter(root, 0.0)) >= -4e-16
+    assert pressure(math.nextafter(root, 1.0)) <= 4e-16
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            dynamics.bowen_root(pressure, tol=tol)
 
 
 def test_bowen_root_of_orbit_pressure():

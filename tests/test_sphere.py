@@ -172,9 +172,12 @@ def test_random_onb_is_orthonormal_and_seeded():
 
 
 def test_zonal_diagonal_matches_closed_form():
-    for l in (0, 1, 7, 40):
-        diag = sphere.zonal_diagonal(l, [0.0, 0.0, 1.0])
+    V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
+    for l in (1, 7, 40):
+        diag = sphere.band_compression(V, l).diagonal()
         assert np.abs(diag - sphere.alpha_cos2(l)).max() < 1e-12
+    with pytest.raises(ValueError, match="l >= 1"):
+        sphere.band_compression(V, 0)
 
 
 def test_concentration_experiment_record():
@@ -194,6 +197,11 @@ def test_concentration_experiment_rejects_nonzero_mean():
         sphere.concentration_experiment(8, [1.0], trials=2, seed=0)
     with pytest.raises(ValueError):
         sphere.concentration_experiment(8, [0.0, 0.0, 1.0], trials=0, seed=0)
+
+
+def test_concentration_experiment_rejects_degree_zero():
+    with pytest.raises(ValueError, match="l >= 1"):
+        sphere.concentration_experiment(0, [-1.0 / 3.0, 0.0, 1.0], trials=2, seed=0)
 
 
 def test_quantum_average_projects_and_commutes():
@@ -248,6 +256,37 @@ def test_band_compression_matches_direct_quadrature():
                 ref += (wj * 2.0 * math.pi / n_phi * v) * np.outer(y.conj(), y)
         M = sphere.band_compression(V, l)
         assert np.abs(M - ref).max() < 1e-12, l
+
+
+def _real_coefficients(rng, L):
+    # coefficient list of a real V with every order m up to degree L
+    V = []
+    for k in range(L + 1):
+        c = np.zeros(2 * k + 1, dtype=complex)
+        c[k] = rng.standard_normal()
+        for m in range(1, k + 1):
+            z = complex(rng.standard_normal(), rng.standard_normal())
+            c[k + m] = z
+            c[k - m] = (-1) ** m * z.conjugate()
+        V.append(c)
+    return V
+
+
+def test_band_compression_vanishes_past_the_bandwidth():
+    # <Y_lm, V Y_lm'> = 0 exactly when |m - m'| exceeds deg V
+    V = _real_coefficients(np.random.default_rng(3), 2)
+    for l in (1, 2, 6):
+        M = sphere.band_compression(V, l)
+        ms = np.arange(-l, l + 1)
+        far = np.abs(ms[:, None] - ms[None, :]) > 2
+        assert np.all(M[far] == 0.0), l
+        assert np.all(M[~far] != 0.0), l
+
+
+def test_band_compression_rejects_malformed_block():
+    V = [np.zeros(1, dtype=complex), np.zeros(2, dtype=complex)]
+    with pytest.raises(ValueError, match="wrong length"):
+        sphere.band_compression(V, 3)
 
 
 def test_zonal_from_polynomial_round_trip():
@@ -306,6 +345,15 @@ def test_radon_flow_preserves_zonal_height():
     assert abs(np.linalg.norm(g1.u) - 1.0) < 1e-9
     assert abs(g1.u[2] - 0.6) < 1e-8
     assert sphere.radon_flow(V, g0, 0) is g0
+
+
+def test_radon_flow_rejects_nonfinite_time():
+    # a non-finite t would double the RK4 steps up to 2**16 before failing
+    V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
+    g0 = sphere.GeodesicPoint(np.array([0.8, 0.0, 0.6]))
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite t"):
+            sphere.radon_flow(V, g0, t)
 
 
 def test_radon_flow_matches_closed_form_rotation():
