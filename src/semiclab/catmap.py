@@ -74,13 +74,16 @@ class QuantizedCatMap:
 
     @functools.cached_property
     def U(self):
-        U = np.eye(self.N, dtype=complex)
-        F = _fourier(self.N)
-        for g, c in reversed(self.word):
-            if g == "J":
-                U = U @ F
-            else:
-                U = U * _shear_diag(self.N, c)[None, :]
+        # the word's generators multiplied from the right, outermost first;
+        # the shears ahead of the first J (a hyperbolic word has one) scale
+        # the rows of F, so the first J costs no matrix product
+        N, word = self.N, self.word[::-1]
+        first = next(i for i, (g, _) in enumerate(word) if g == "J")
+        F = _fourier(N)
+        lead = functools.reduce(np.multiply, (_shear_diag(N, c) for _, c in word[:first]), np.ones(N))
+        U = lead[:, None] * F
+        for g, c in word[first + 1:]:
+            U = U @ F if g == "J" else U * _shear_diag(N, c)[None, :]
         return U
 
 
@@ -111,8 +114,15 @@ def translation_operator(N, m):
 
 
 def _fourier(N):
-    j = np.arange(N)
-    return np.exp(-2j * np.pi * np.outer(j, j) / N) / math.sqrt(N)
+    # exp(-2 pi i jk / N) / sqrt(N), with one exp per distinct product jk,
+    # gathered; each entry is bitwise the elementwise formula's
+    jk = np.outer(np.arange(N), np.arange(N))
+    seen = np.zeros(jk[-1, -1] + 1, dtype=bool)
+    seen[jk] = True
+    p = np.flatnonzero(seen)
+    table = np.empty(len(seen), dtype=complex)
+    table[p] = np.exp(-2j * np.pi * p / N) / math.sqrt(N)
+    return table[jk]
 
 
 def _shear_diag(N, c):
@@ -233,24 +243,52 @@ def classical_period_mod(A, N):
             raise NumericalSignal("no-period", f"no period below {guard} for N={N}")
 
 
+def _parity_blocks(M):
+    # M on the parity-even basis e_0, (e_j + e_-j)/sqrt2 for 0 < j < N/2 and
+    # e_{N/2} for even N, and on the parity-odd basis (e_j - e_-j)/sqrt2; the
+    # part of M that maps one parity to the other is dropped
+    N = len(M)
+    j = np.arange(N // 2 + 1)
+    k = np.arange(1, (N + 1) // 2)
+    c = np.where(j == -j % N, 0.5, math.sqrt(0.5))
+    even = M[j] + M[-j % N]
+    odd = M[k] - M[N - k]
+    even = even.take(j, axis=1) + even.take(-j % N, axis=1)
+    return c[:, None] * even * c, 0.5 * (odd.take(k, axis=1) - odd.take(N - k, axis=1))
+
+
 def quantum_period(Q):
     """Smallest t <= 4 * classical_period_mod(A, 2N) with U^t scalar to 1e-8.
 
     Scalar times can only occur at multiples of the classical period mod N,
     so only those are tested. The record holds that classical period too.
+
+    U commutes with the parity R: j -> -j mod N, which is U_N(-I) with -I
+    central in SL2(Z). So U^t is block diagonal on R's even and odd
+    subspaces, and the powers run on those two blocks of about N/2 each:
+    U^t is scalar exactly when both blocks are the same scalar s, taken as
+    (tr W+ + tr W-)/N. The blocks drop the part of the dense U that mixes
+    the parities, which is roundoff and enters tr U^t only at second order;
+    NumericalSignal("parity-mixing") is raised first if max|RUR - U|
+    exceeds 1e-10.
     """
     N = Q.N
     t_cl = classical_period_mod(Q.cat, N)
     bound = 4 * classical_period_mod(Q.cat, 2 * N)
-    eye = np.eye(N)
-    P = np.linalg.matrix_power(Q.U, t_cl)
+    RUR = np.roll(Q.U[::-1, ::-1], 1, axis=(0, 1))  # entries U[-j, -k]
+    mixing = float(np.abs(RUR - Q.U).max())
+    if mixing > 1e-10:
+        raise NumericalSignal("parity-mixing", f"N={N}: max|RUR - U| = {mixing:.2e}")
+    P = [np.linalg.matrix_power(B, t_cl) for B in _parity_blocks(Q.U)]
     W = P
     t = t_cl
     while t <= bound:
-        s = np.trace(W) / N
-        if abs(abs(s) - 1.0) <= 1e-8 and float(np.abs(W - s * eye).max()) <= 1e-8:
+        s = (np.trace(W[0]) + np.trace(W[1])) / N
+        if abs(abs(s) - 1.0) <= 1e-8 and all(
+            np.abs(w - s * np.eye(len(w))).max(initial=0.0) <= 1e-8 for w in W
+        ):
             return {"period": t, "phase": complex(s / abs(s)), "classical_period": t_cl}
-        W = W @ P
+        W = [w @ p for w, p in zip(W, P)]
         t += t_cl
     raise NumericalSignal("period-not-found", f"N={N}: no scalar power below {bound}")
 

@@ -1,5 +1,6 @@
 """Quantized cat maps: translations, propagators, periods, scars, partitions."""
 
+import cmath
 import math
 import tracemalloc
 import types
@@ -145,13 +146,17 @@ def test_compiled_word_matches_generator_product(cat, word, n_steps):
     word = catmap._decompose(cat.matrix()) if word is None else word
     rng = np.random.default_rng(11)
     for N in list(range(1, 65)) + [504]:
-        Q = types.SimpleNamespace(N=N, steps=catmap._compile_word(word, N))
+        Q = types.SimpleNamespace(N=N, word=word, steps=catmap._compile_word(word, N))
         assert len(Q.steps) == n_steps
         X = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         Y = catmap.apply_propagator(Q, X)
-        assert np.abs(Y - _generator_product(word, N, X)).max() < 1e-12, N
+        ref = _generator_product(word, N, X)
+        assert np.abs(Y - ref).max() < 1e-12, N
         assert np.array_equal(catmap.apply_propagator(Q, X[1]), Y[1]), N
+        # the dense U of the same word, built as QuantizedCatMap.U builds it
+        U = catmap.QuantizedCatMap.U.func(Q)
+        assert np.abs(X @ U.T - ref).max() < 1e-12, N
 
 
 def _brute_period(Amat, N):
@@ -178,15 +183,99 @@ def test_classical_period():
         catmap.classical_period_mod(A, 0)
 
 
+def _prime_factors(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+
+
+def _dense_power(Q, t):
+    # slow reference: the full dense U^t, its trace phase and its distance
+    # from that scalar
+    P = np.linalg.matrix_power(Q.U, t)
+    s = np.trace(P) / Q.N
+    return s / abs(s), float(np.abs(P - s * np.eye(Q.N)).max())
+
+
 def test_quantum_period_small():
-    for N, t_expect in ((5, 10), (13, 14), (55, 10)):
+    # the times at which U^t is scalar are the multiples of the period, so
+    # the period is the smallest one exactly when U^(period / p) is not
+    # scalar for each prime p dividing it
+    expect = {5: 10, 13: 14, 55: 10}
+    for N in list(range(1, 65)) + [127, 128, 255, 256]:
         Q = catmap.propagator(A, N)
         rec = catmap.quantum_period(Q)
-        assert rec["period"] == t_expect
+        T = rec["period"]
+        assert T == expect.get(N, T), N
         assert rec["classical_period"] == catmap.classical_period_mod(A, N)
+        assert T % rec["classical_period"] == 0, N
         assert abs(abs(rec["phase"]) - 1.0) < 1e-12
-        P = np.linalg.matrix_power(Q.U, rec["period"])
-        assert np.abs(P - rec["phase"] * np.eye(N)).max() < 1e-8
+        phase, dev = _dense_power(Q, T)
+        assert dev < 1e-8, N
+        assert abs(rec["phase"] - phase) < 1e-12, N
+        for p in _prime_factors(T):
+            assert _dense_power(Q, T // p)[1] > 1e-8, (N, p)
+
+
+def test_period_phases_are_eighth_roots():
+    # U^T is a product of normalized quadratic Gauss sums times I, so its
+    # phase is an 8th root of unity zeta8^k: k = 0 at N = 1 mod 8, k in
+    # {0, 4} at N = 5 mod 8, and odd k only at even N
+    for N in range(1, 129):
+        phase = catmap.quantum_period(catmap.propagator(A, N))["phase"]
+        k = round(cmath.phase(phase) / (math.pi / 4)) % 8
+        assert abs(phase - cmath.exp(1j * math.pi * k / 4)) < 1e-8, N
+        if N % 8 == 1:
+            assert k == 0, N
+        if N % 8 == 5:
+            assert k in (0, 4), N
+        if k % 2:
+            assert N % 2 == 0, N
+
+
+def _parity_basis(N):
+    # slow reference: the orthonormal parity bases, entry by entry
+    even, odd = [], []
+    for j in range(N // 2 + 1):
+        col = np.zeros(N)
+        col[j] += 1.0
+        col[(N - j) % N] += 1.0
+        even.append(col / np.linalg.norm(col))
+        if 0 < j < N - j:
+            col = np.zeros(N)
+            col[j], col[N - j] = 1.0, -1.0
+            odd.append(col / math.sqrt(2.0))
+    return np.array(even).reshape(-1, N).T, np.array(odd).reshape(-1, N).T
+
+
+def test_parity_blocks_match_an_explicit_basis():
+    rng = np.random.default_rng(17)
+    for N in (1, 2, 3, 4, 7, 8, 21):
+        Se, So = _parity_basis(N)
+        S = np.hstack([Se, So])
+        assert S.shape == (N, N) and np.abs(S.T @ S - np.eye(N)).max() < 1e-15
+        M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        even, odd = catmap._parity_blocks(M)
+        assert even.shape == (Se.shape[1],) * 2 and odd.shape == (So.shape[1],) * 2
+        assert np.abs(even - Se.T @ M @ Se).max() < 1e-14, N
+        assert np.abs(odd - So.T @ M @ So).max(initial=0.0) < 1e-14, N
+
+
+def test_parity_mixing_propagator_raises():
+    N = 21
+    U = catmap.propagator(A, N).U.copy()
+    rec = catmap.quantum_period(types.SimpleNamespace(N=N, cat=A, U=U))
+    assert rec["period"] == catmap.quantum_period(catmap.propagator(A, N))["period"]
+    U[2, 3] += 1e-9
+    with pytest.raises(NumericalSignal, match="parity-mixing"):
+        catmap.quantum_period(types.SimpleNamespace(N=N, cat=A, U=U))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 97, 256, 511, 512])
+def test_fourier_is_bitwise_the_elementwise_formula(N):
+    j = np.arange(N)
+    ref = np.exp(-2j * np.pi * np.outer(j, j) / N) / math.sqrt(N)
+    F = catmap._fourier(N)
+    assert F.dtype == ref.dtype and F.shape == ref.shape
+    assert np.array_equal(F.view(np.float64), ref.view(np.float64))
 
 
 def test_matrix_free_period_matches_dense():
