@@ -7,8 +7,10 @@ e^{2 pi i w(a,b)/N}, with w the integer symplectic form. Propagators are
 built as products of the quantized generators J (a DFT) and lower shears
 (quadratic phase diagonals e^{i pi c j (j+N) / N}); the j(j+N) exponent keeps
 the shear well defined for both parities, so exact Egorov holds with no
-parity correction. The matrix-free path runs the word compiled once per
-(A, N) into a few numpy steps.
+parity correction. The dense products run on the even and odd subspaces of
+the parity j -> -j mod N, with which every generator commutes. The
+matrix-free path runs the word compiled once per (A, N) into a few numpy
+steps.
 """
 
 import cmath
@@ -54,7 +56,9 @@ class CatMap:
 @dataclass(frozen=True)
 class QuantizedCatMap:
     """U_N(A) as the checked generator word of A, compiled once for
-    `apply_propagator`; the dense matrix U is built on first use."""
+    `apply_propagator`. `blocks`, U on the even and odd subspaces of the
+    parity j -> -j mod N, and the dense U, their unfold, are built on first
+    use."""
 
     cat: CatMap
     N: int
@@ -73,18 +77,43 @@ class QuantizedCatMap:
         object.__setattr__(self, "steps", _compile_word(word, self.N))
 
     @functools.cached_property
-    def U(self):
-        # the word's generators multiplied from the right, outermost first;
-        # the shears ahead of the first J (a hyperbolic word has one) scale
-        # the rows of F, so the first J costs no matrix product
-        N, word = self.N, self.word[::-1]
-        first = next(i for i, (g, _) in enumerate(word) if g == "J")
+    def blocks(self):
+        # The parity R: j -> -j mod N is U_N(-I), and -I is central in
+        # SL2(Z), so R commutes with every generator up to rounding. Each
+        # generator is folded once onto R's even and odd subspaces, with its
+        # parity-mixing part dropped after a check that it is roundoff, and
+        # the word's products run on the two blocks of about N/2 each.
+        N = self.N
         F = _fourier(N)
-        lead = functools.reduce(np.multiply, (_shear_diag(N, c) for _, c in word[:first]), np.ones(N))
-        U = lead[:, None] * F
-        for g, c in word[first + 1:]:
-            U = U @ F if g == "J" else U * _shear_diag(N, c)[None, :]
-        return U
+        diag = {c: _shear_diag(N, c) for g, c in self.word if g == "S"}
+        mixing = max(_parity_mixing(M) for M in (F, *diag.values()))
+        if mixing > 1e-10:
+            raise NumericalSignal("parity-mixing", f"N={N}: a generator mixes parities by {mixing:.2e}")
+        r = -np.arange(N) % N
+        half = {c: 0.5 * (d + d[r]) for c, d in diag.items()}
+        parts = (slice(0, N // 2 + 1), slice(1, (N + 1) // 2))
+        return tuple(
+            _word_product(self.word, Fb, {c: h[part] for c, h in half.items()})
+            for Fb, part in zip(_parity_blocks(F), parts)
+        )
+
+    @functools.cached_property
+    def U(self):
+        return _parity_unfold(*self.blocks)
+
+
+def _word_product(word, F, diag):
+    # the word's generators multiplied from the right, outermost first, with
+    # F for J and diag[c] for the shear S_c; the shears ahead of the first J
+    # (a hyperbolic word has one) scale the rows of F, so the first J costs
+    # no matrix product
+    word = word[::-1]
+    first = next(i for i, (g, _) in enumerate(word) if g == "J")
+    lead = functools.reduce(np.multiply, (diag[c] for _, c in word[:first]), np.ones(len(F)))
+    U = lead[:, None] * F
+    for g, c in word[first + 1:]:
+        U = U @ F if g == "J" else U * diag[c][None, :]
+    return U
 
 
 @dataclass(frozen=True)
@@ -257,29 +286,49 @@ def _parity_blocks(M):
     return c[:, None] * even * c, 0.5 * (odd.take(k, axis=1) - odd.take(N - k, axis=1))
 
 
+def _parity_mixing(M):
+    # max |M - R M R| for the parity R: j -> -j mod N, on a diagonal or a
+    # matrix; R fixes index 0 and reverses 1..N-1, so the mirror is a view
+    if M.ndim == 1:
+        return float(np.abs(M[1:] - M[:0:-1]).max(initial=0.0))
+    inner = float(np.abs(M[1:, 1:] - M[:0:-1, :0:-1]).max(initial=0.0))
+    return max(inner, _parity_mixing(M[0]), _parity_mixing(M[:, 0]))
+
+
+def _parity_unfold(even, odd):
+    # the N x N matrix that is `even` on the parity-even basis and `odd` on
+    # the parity-odd basis of _parity_blocks; each entry (j, k) is gathered
+    # from the basis vectors through e_j and e_k, with no matrix product
+    N = len(even) + len(odd)
+    j = np.arange(N)
+    paired = j != -j % N
+    c = np.where(paired, math.sqrt(0.5), 1.0)
+    p = np.minimum(j, N - j)
+    M = c[:, None] * even[np.ix_(p, p)] * c
+    k = np.flatnonzero(paired)
+    s = np.where(k < N - k, math.sqrt(0.5), -math.sqrt(0.5))
+    q = p[k] - 1
+    M[np.ix_(k, k)] += s[:, None] * odd[np.ix_(q, q)] * s
+    return M
+
+
 def quantum_period(Q):
     """Smallest t <= 4 * classical_period_mod(A, 2N) with U^t scalar to 1e-8.
 
     Scalar times can only occur at multiples of the classical period mod N,
     so only those are tested. The record holds that classical period too.
 
-    U commutes with the parity R: j -> -j mod N, which is U_N(-I) with -I
-    central in SL2(Z). So U^t is block diagonal on R's even and odd
-    subspaces, and the powers run on those two blocks of about N/2 each:
-    U^t is scalar exactly when both blocks are the same scalar s, taken as
-    (tr W+ + tr W-)/N. The blocks drop the part of the dense U that mixes
-    the parities, which is roundoff and enters tr U^t only at second order;
-    NumericalSignal("parity-mixing") is raised first if max|RUR - U|
-    exceeds 1e-10.
+    The powers run on `Q.blocks`, U on the even and odd subspaces of the
+    parity j -> -j mod N, two blocks of about N/2 each, and the dense U is
+    never built: U^t is scalar exactly when both blocks are the same scalar
+    s, taken as (tr W+ + tr W-)/N. Building the blocks raises
+    NumericalSignal("parity-mixing") if a generator mixes the parities by
+    more than 1e-10.
     """
     N = Q.N
     t_cl = classical_period_mod(Q.cat, N)
     bound = 4 * classical_period_mod(Q.cat, 2 * N)
-    RUR = np.roll(Q.U[::-1, ::-1], 1, axis=(0, 1))  # entries U[-j, -k]
-    mixing = float(np.abs(RUR - Q.U).max())
-    if mixing > 1e-10:
-        raise NumericalSignal("parity-mixing", f"N={N}: max|RUR - U| = {mixing:.2e}")
-    P = [np.linalg.matrix_power(B, t_cl) for B in _parity_blocks(Q.U)]
+    P = [np.linalg.matrix_power(B, t_cl) for B in Q.blocks]
     W = P
     t = t_cl
     while t <= bound:

@@ -398,9 +398,8 @@ def _run_catmap_egorov(cfg):
     rows = []
     missed = []
     for N in range(1, cfg["period_max_n"] + 1):
-        Q = catmap.propagator(A, N)
         try:
-            rec = catmap.quantum_period(Q)
+            rec = catmap.quantum_period(catmap.QuantizedCatMap(A, N))
         except NumericalSignal:
             missed.append(N)
             continue

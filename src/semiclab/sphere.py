@@ -248,11 +248,6 @@ def _radon_at_normals(V, u):
     return _radon_at(V, theta, np.arctan2(u[:, 1], u[:, 0]))
 
 
-def radon_transform(V, gamma):
-    """Average of V (coefficient list) over the great circle normal to gamma."""
-    return float(_radon_at_normals(V, gamma.u[None, :])[0])
-
-
 def radon_flow(V, gamma0, t):
     """Hamiltonian flow of the Radon average on the space of geodesics.
 

@@ -66,10 +66,6 @@ class FlowProfile:
         return base * cmath.exp(1j * self.t * float(np.dot(self.p, xi)))
 
 
-def constant_symbol(value, n=2):
-    return TorusSymbol({(0,) * n: complex(value)})
-
-
 def exponential_symbol(p):
     return TorusSymbol({tuple(p): 1.0 + 0.0j})
 
@@ -81,10 +77,6 @@ def cosine_symbol(p, scale=1.0):
     if p == neg:
         return TorusSymbol({p: complex(scale)})
     return TorusSymbol({p: scale / 2 + 0j, neg: scale / 2 + 0j})
-
-
-def momentum_symbol(f, n=2):
-    return TorusSymbol({(0,) * n: f})
 
 
 def random_eigenfunction(shell, seed):

@@ -154,8 +154,9 @@ def test_compiled_word_matches_generator_product(cat, word, n_steps):
         ref = _generator_product(word, N, X)
         assert np.abs(Y - ref).max() < 1e-12, N
         assert np.array_equal(catmap.apply_propagator(Q, X[1]), Y[1]), N
-        # the dense U of the same word, built as QuantizedCatMap.U builds it
-        U = catmap.QuantizedCatMap.U.func(Q)
+        # the dense U of the same word, built as QuantizedCatMap.U builds it:
+        # the unfold of the word's product on the two parity blocks
+        U = catmap._parity_unfold(*catmap.QuantizedCatMap.blocks.func(Q))
         assert np.abs(X @ U.T - ref).max() < 1e-12, N
 
 
@@ -167,6 +168,14 @@ def _brute_period(Amat, N):
         if np.array_equal(M, np.eye(2, dtype=np.int64)):
             return t
     raise AssertionError("no period found")
+
+
+@pytest.mark.parametrize("cat", [A, catmap.CatMap(5, 2, 2, 1), catmap.CatMap(3, 1, 2, 1)])
+def test_dense_u_matches_generator_product(cat):
+    for N in list(range(1, 65)) + [127, 128, 255, 256, 511, 512]:
+        Q = catmap.QuantizedCatMap(cat, N)
+        ref = _generator_product(Q.word, N, np.eye(N)).T
+        assert np.abs(Q.U - ref).max() < 1e-12, N
 
 
 def test_classical_period():
@@ -187,12 +196,12 @@ def _prime_factors(n):
     return {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
 
 
-def _dense_power(Q, t):
+def _dense_power(U, t):
     # slow reference: the full dense U^t, its trace phase and its distance
     # from that scalar
-    P = np.linalg.matrix_power(Q.U, t)
-    s = np.trace(P) / Q.N
-    return s / abs(s), float(np.abs(P - s * np.eye(Q.N)).max())
+    P = np.linalg.matrix_power(U, t)
+    s = np.trace(P) / len(U)
+    return s / abs(s), float(np.abs(P - s * np.eye(len(U))).max())
 
 
 def test_quantum_period_small():
@@ -201,18 +210,19 @@ def test_quantum_period_small():
     # scalar for each prime p dividing it
     expect = {5: 10, 13: 14, 55: 10}
     for N in list(range(1, 65)) + [127, 128, 255, 256]:
-        Q = catmap.propagator(A, N)
+        Q = catmap.QuantizedCatMap(A, N)
         rec = catmap.quantum_period(Q)
         T = rec["period"]
         assert T == expect.get(N, T), N
         assert rec["classical_period"] == catmap.classical_period_mod(A, N)
         assert T % rec["classical_period"] == 0, N
         assert abs(abs(rec["phase"]) - 1.0) < 1e-12
-        phase, dev = _dense_power(Q, T)
+        U = _generator_product(Q.word, N, np.eye(N)).T
+        phase, dev = _dense_power(U, T)
         assert dev < 1e-8, N
         assert abs(rec["phase"] - phase) < 1e-12, N
         for p in _prime_factors(T):
-            assert _dense_power(Q, T // p)[1] > 1e-8, (N, p)
+            assert _dense_power(U, T // p)[1] > 1e-8, (N, p)
 
 
 def test_period_phases_are_eighth_roots():
@@ -259,14 +269,50 @@ def test_parity_blocks_match_an_explicit_basis():
         assert np.abs(odd - So.T @ M @ So).max(initial=0.0) < 1e-14, N
 
 
-def test_parity_mixing_propagator_raises():
+def test_parity_unfold_inverts_the_fold():
+    rng = np.random.default_rng(19)
+    for N in (1, 2, 3, 4, 7, 8, 21):
+        Se, So = _parity_basis(N)
+        ne, no = Se.shape[1], So.shape[1]
+        even = rng.standard_normal((ne, ne)) + 1j * rng.standard_normal((ne, ne))
+        odd = rng.standard_normal((no, no)) + 1j * rng.standard_normal((no, no))
+        M = catmap._parity_unfold(even, odd)
+        assert np.abs(M - (Se @ even @ Se.T + So @ odd @ So.T)).max() < 1e-14, N
+        back = catmap._parity_blocks(M)
+        assert np.abs(back[0] - even).max() < 1e-14, N
+        assert np.abs(back[1] - odd).max(initial=0.0) < 1e-14, N
+        # the fold drops the part that mixes the parities: the round trip
+        # from a full matrix is its projection onto the two blocks
+        X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        proj = Se @ Se.T @ X @ Se @ Se.T + So @ So.T @ X @ So @ So.T
+        assert np.abs(catmap._parity_unfold(*catmap._parity_blocks(X)) - proj).max() < 1e-14, N
+
+
+def test_parity_mixing_matches_the_mirrored_matrix():
+    rng = np.random.default_rng(23)
+    for N in (1, 2, 3, 4, 7, 8, 21):
+        r = -np.arange(N) % N
+        M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        assert catmap._parity_mixing(M) == np.abs(M - M[r][:, r]).max(), N
+        assert catmap._parity_mixing(M[-1]) == np.abs(M[-1] - M[-1][r]).max(), N
+        # a matrix that commutes with the parity does not mix
+        assert catmap._parity_mixing(M + M[r][:, r]) == 0.0, N
+
+
+def test_parity_mixing_propagator_raises(monkeypatch):
     N = 21
-    U = catmap.propagator(A, N).U.copy()
-    rec = catmap.quantum_period(types.SimpleNamespace(N=N, cat=A, U=U))
+    rec = catmap.quantum_period(catmap.QuantizedCatMap(A, N))
     assert rec["period"] == catmap.quantum_period(catmap.propagator(A, N))["period"]
-    U[2, 3] += 1e-9
+    shear = catmap._shear_diag
+
+    def mixing_shear(N, c):
+        d = shear(N, c)
+        d[2] += 1e-9
+        return d
+
+    monkeypatch.setattr(catmap, "_shear_diag", mixing_shear)
     with pytest.raises(NumericalSignal, match="parity-mixing"):
-        catmap.quantum_period(types.SimpleNamespace(N=N, cat=A, U=U))
+        catmap.quantum_period(catmap.QuantizedCatMap(A, N))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 97, 256, 511, 512])
@@ -304,6 +350,15 @@ def test_scar_record_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(catmap, "_fourier", no_dense)
     assert catmap.scar_record(A, 504)["period"] == 24
+
+
+def test_quantum_period_builds_no_dense_matrix(monkeypatch):
+    def no_dense(even, odd):
+        raise AssertionError("dense U built")
+
+    monkeypatch.setattr(catmap, "_parity_unfold", no_dense)
+    assert catmap.quantum_period(catmap.QuantizedCatMap(A, 55))["period"] == 10
+    assert catmap.quantum_period(catmap.QuantizedCatMap(A, 504))["period"] == 24
 
 
 def test_coherent_state_shape():

@@ -44,7 +44,7 @@ def test_uniform_measure_seeded():
 
 
 def test_birkhoff_average_constant():
-    a = torus.constant_symbol(2.5)
+    a = torus.TorusSymbol({(0, 0): complex(2.5)})
     for T in (0.3, 1.0, 57.0):
         v = dynamics.birkhoff_average_torus(a, (0.2, 0.7), (1.0, math.sqrt(2.0)), T)
         assert abs(v - 2.5) < 1e-14
@@ -80,7 +80,7 @@ def test_birkhoff_average_decay_and_validation():
     with pytest.raises(ValueError, match="T > 0"):
         dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, 0.0)
     with pytest.raises(ValueError, match="x-only"):
-        dynamics.birkhoff_average_torus(torus.momentum_symbol(lambda z: 1.0), (0, 0), xi, 1.0)
+        dynamics.birkhoff_average_torus(torus.TorusSymbol({(0, 0): lambda z: 1.0}), (0, 0), xi, 1.0)
     for T in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite T > 0"):
             dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, T)

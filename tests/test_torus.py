@@ -123,10 +123,10 @@ def test_exact_l4_dimension_guard():
 
 def test_wigner_constant_and_momentum():
     psi = torus.random_eigenfunction(shell25(), 17)
-    total = torus.wigner(psi, torus.constant_symbol(1.0))
+    total = torus.wigner(psi, torus.TorusSymbol({(0, 0): complex(1.0)}))
     assert total == pytest.approx(1.0, abs=1e-12)
     # |xi|^2 evaluates to hbar^2 m = 1 on the shell
-    kinetic = torus.wigner(psi, torus.momentum_symbol(lambda xi: xi[0] ** 2 + xi[1] ** 2))
+    kinetic = torus.wigner(psi, torus.TorusSymbol({(0, 0): lambda xi: xi[0] ** 2 + xi[1] ** 2}))
     assert kinetic == pytest.approx(1.0, abs=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_quantum_variance_guards():
         if len(shell):
             full.extend(torus.random_shell_basis(shell, m))
     with pytest.raises(ValueError, match="x-only"):
-        torus.quantum_variance(full, torus.momentum_symbol(lambda xi: xi[0]))
+        torus.quantum_variance(full, torus.TorusSymbol({(0, 0): lambda xi: xi[0]}))
     bad = [
         torus.TorusEigenfunction(psi.shell, psi.amplitudes * (1.2 if i == 0 else 1.0))
         for i, psi in enumerate(full)
@@ -250,7 +250,7 @@ def test_directional_filter_unknown_cutoff():
 
 
 def test_microlocal_weyl_average_constant():
-    avg = torus.microlocal_weyl_average(25, torus.constant_symbol(2.5))
+    avg = torus.microlocal_weyl_average(25, torus.TorusSymbol({(0, 0): complex(2.5)}))
     assert avg == pytest.approx(2.5, abs=1e-12)
 
 
