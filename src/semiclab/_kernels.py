@@ -7,8 +7,8 @@ state. `_gaussian_window` is the one truncation of the periodized Gaussian,
 cut at exp(-40): `catmap.coherent_state` folds it onto Z/N, and
 `husimi_grid` forms each grid row's overlaps on it, with the exact aliased
 norm. `_ginibre` is the one complex Gaussian fill, and `_haar_unitary`, the
-one Haar draw on U(d), takes its QR behind the random torus-shell and sphere
-bases.
+one Haar draw on U(d), takes its QR behind the random torus-shell bases and
+the trials of `sphere.concentration_experiment`.
 """
 
 import math

@@ -365,13 +365,10 @@ def _coherent_array(N, x0, xi0, squeeze=1.0):
     return psi / np.linalg.norm(psi)
 
 
-# Frozen admissibility fixtures for CatMap(2,1,1,1): a subset of the N whose
-# quantum period satisfies T_N <= 4 ln N / chi. A scan of N <= 3000 finds 79
-# such N, among them 521, 987, 1364 and 2584, which are not listed. The large
-# list is the N >= 500 regression set used by the scarring experiment.
-FNDB_ADMISSIBLE_SMALL = (
-    18, 19, 24, 36, 38, 62, 72, 211, 322, 323, 336, 341, 368, 414, 422, 483,
-)
+# Frozen admissibility fixture for CatMap(2,1,1,1): the N >= 500 regression
+# set of the scarring experiment, a subset of the N whose quantum period
+# satisfies T_N <= 4 ln N / chi. A scan of N <= 3000 finds 79 such N, among
+# them 521, 987, 1364 and 2584, which are not listed.
 FNDB_ADMISSIBLE_LARGE = (
     504, 552, 644, 646, 682, 828, 966, 1008, 1104, 1288, 1292, 1449, 1656,
     1705, 1891, 1932, 2576, 2684, 2898,

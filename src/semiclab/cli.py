@@ -74,6 +74,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"semiclab: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"semiclab: cannot write to --out: {exc}", file=sys.stderr)
+        return 1
     verdict = "PASS" if report["pass"] else "FAIL"
     print(f"{args.experiment}: {verdict} ({report['wall_time_s']:.2f}s)")
     return 0 if report["pass"] else 2

@@ -1,10 +1,7 @@
-"""Classical ergodic-theory toolkit: Birkhoff averages on the torus,
-cat-map Lyapunov exponents, Brin-Katok entropy estimation, and pressure
-on periodic-orbit sets.
+"""Classical ergodic theory of cat maps: sampled measures and their
+orbits, Brin-Katok entropy estimation, and pressure on periodic-orbit sets.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,51 +50,6 @@ class PeriodicOrbit:
 def uniform_measure(n_points, seed):
     rng = np.random.default_rng(seed)
     return EmpiricalMeasure(rng.uniform(0.0, 1.0, (n_points, 2)), np.full(n_points, 1.0 / n_points))
-
-
-def birkhoff_average_torus(a, x, xi, T):
-    """Finite-time geodesic-flow average (1/T) int_0^T a(x + t xi) dt,
-    by exact integration of each Fourier mode."""
-    if not 0 < T < math.inf:
-        raise ValueError(f"need finite T > 0: T={T!r}")
-    if not a.is_x_only():
-        raise ValueError("need an x-only symbol")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    norm = float(np.linalg.norm(xi))
-    if not 0 < norm < math.inf:
-        raise ValueError(f"direction must be finite and nonzero: xi={xi.tolist()!r}")
-    xi = xi / norm
-    total = 0.0 + 0.0j
-    for p, coef in a.terms.items():
-        z = float(np.dot(p, xi)) * T
-        kern = 1.0 if z == 0.0 else (cmath.exp(1j * z) - 1.0) / (1j * z)
-        total += complex(coef) * cmath.exp(1j * float(np.dot(p, x))) * kern
-    return total
-
-
-def direction_rank(xi):
-    """Rank of the annihilator lattice {k integer : k . xi = 0}.
-
-    Integer vectors have rank n-1; the flag "irrational" stands for a
-    direction with trivial annihilator (rank 0). Non-integer vectors are
-    accepted at face value as irrational in n = 2 and rejected in higher
-    dimension, where intermediate ranks cannot be decided numerically.
-    """
-    if isinstance(xi, str):
-        if xi == "irrational":
-            return 0
-        raise ValueError(f"unknown direction flag {xi!r}")
-    v = np.asarray(xi, dtype=float)
-    n = len(v)
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
-    vr = np.round(v)
-    if np.all(np.abs(v - vr) <= 1e-9 * max(1.0, float(np.abs(v).max()))):
-        return n - 1
-    if n == 2:
-        return 0
-    raise NumericalSignal("unsupported", "cannot rank an unflagged irrational direction for n >= 3")
 
 
 def _orbit_array(points, A, T):

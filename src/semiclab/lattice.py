@@ -154,21 +154,3 @@ def arc_counts(shell, centers, half):
         d = (ang[pos % s] - centers[b:b + 1024, None] + math.pi) % (2 * math.pi) - math.pi
         counts[b:b + 1024] = ((np.abs(d) <= half) & (pos < hi[b:b + 1024, None])).sum(axis=1)
     return counts
-
-
-def arc_lattice_count(radius, center_angle, arc_length):
-    """Integer points on the circle of the given radius within a closed arc.
-
-    The radius must square to an integer (else there are no lattice points
-    and the count is 0). Points are counted by arc_counts.
-    """
-    if arc_length <= 0:
-        raise NumericalSignal("invalid-arc", "arc_length must be positive")
-    if radius <= 0:
-        raise ValueError("need radius > 0")
-    r2 = radius * radius
-    m = round(r2)
-    if abs(r2 - m) > 1e-9 * max(1.0, r2):
-        return 0
-    shell = enumerate_shell(m, 2)
-    return int(arc_counts(shell, [center_angle], arc_length / radius / 2.0)[0])

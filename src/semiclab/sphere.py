@@ -16,24 +16,7 @@ from semiclab import _kernels
 from semiclab._errors import NumericalSignal
 
 FOUR_PI = 4.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SphericalState:
-    """Unit vector in the degree-l eigenspace, amplitudes indexed m = -l..l."""
-
-    degree: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if len(self.amplitudes) != 2 * self.degree + 1:
-            raise ValueError("amplitude vector has wrong length")
-        if not np.isfinite(self.amplitudes).all():
-            raise ValueError("amplitudes must be finite")
-        if abs(float((np.abs(self.amplitudes) ** 2).sum()) - 1.0) > 1e-12:
-            raise ValueError("amplitudes must have unit norm")
+_RADON_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -93,21 +76,6 @@ def _assemble_rows(Pl, phi):
     return rows
 
 
-def sph_harm_row(l, theta, phi):
-    """Y_lm(theta, phi) for m = -l..l at one or many points."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    Pl = _norm_legendre(l, np.cos(theta))[:, l, :]
-    return _assemble_rows(Pl, phi)
-
-
-def evaluate_state(s, theta, phi):
-    """Pointwise value sum_m amplitude_m Y_lm(theta, phi)."""
-    if not 0 <= theta <= math.pi:
-        raise ValueError("need 0 <= theta <= pi")
-    row = sph_harm_row(s.degree, theta, phi)[0]
-    return complex(row @ np.asarray(s.amplitudes, dtype=complex))
-
-
 def evaluate_coefficients(coeffs, theta, phi):
     """Evaluate a coefficient list (coeffs[l] for m = -l..l) at arrays of points."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -123,23 +91,6 @@ def evaluate_coefficients(coeffs, theta, phi):
             continue
         out += _assemble_rows(P[:, l, : l + 1], phi) @ c
     return out
-
-
-def highest_weight_constant(l):
-    """c_l with c_l^2 * 2pi * integral_0^pi sin^{2l+1} = 1."""
-    if l < 0:
-        raise ValueError("need l >= 0")
-    c2 = 1.0 / FOUR_PI
-    for m in range(1, l + 1):
-        c2 *= (2 * m + 1) / (2.0 * m)
-    return math.sqrt(c2)
-
-
-def highest_weight_state(l):
-    """The state evaluating to c_l e^{il phi} sin^l(theta)."""
-    amp = np.zeros(2 * l + 1, dtype=complex)
-    amp[2 * l] = (-1.0) ** l
-    return SphericalState(l, amp)
 
 
 def equator_concentration(l, a):
@@ -172,13 +123,6 @@ def reproducing_kernel_diags(L):
             raise NumericalSignal("kernel-not-constant", f"l={l} spread={spread:.2e}")
         out.append(float(vals.mean()))
     return out
-
-
-def random_onb(l, seed):
-    """Haar-random orthonormal basis of the degree-l eigenspace."""
-    d = 2 * l + 1
-    Q = _kernels._haar_unitary(np.random.default_rng(seed), d)
-    return [SphericalState(l, Q[:, j].copy()) for j in range(d)]
 
 
 def alpha_cos2(l):
@@ -367,17 +311,18 @@ def _is_zonal(V):
     return True
 
 
-def radon_range(V, n_grid=2001):
+def radon_range(V):
     """[min, max] of the Radon transform sampled over the geodesic sphere.
 
-    Zonal V gives a transform that depends on u3 only, sampled at n_grid
-    heights; otherwise the normals form a heights x longitudes grid.
+    Zonal V gives a transform that depends on u3 only, sampled at
+    _RADON_GRID heights; otherwise the normals form a heights x longitudes
+    grid.
     """
     if _is_zonal(V):
-        theta = np.arccos(np.linspace(-1.0, 1.0, n_grid))
-        phi = np.zeros(n_grid)
+        theta = np.arccos(np.linspace(-1.0, 1.0, _RADON_GRID))
+        phi = np.zeros(_RADON_GRID)
     else:
-        nt = max(41, int(math.isqrt(n_grid)))
+        nt = max(41, int(math.isqrt(_RADON_GRID)))
         u3 = np.linspace(-1.0, 1.0, nt)
         ph = np.linspace(0.0, 2.0 * math.pi, 2 * nt + 1)[:-1]
         theta = np.repeat(np.arccos(u3), len(ph))

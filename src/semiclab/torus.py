@@ -222,88 +222,6 @@ def quantum_variance(basis, a):
     return total / expected
 
 
-def _box_factor(p, lo, hi):
-    if p == 0:
-        return complex(hi - lo)
-    return (cmath.exp(1j * p * hi) - cmath.exp(1j * p * lo)) / (1j * p)
-
-
-def observability_mass(psi, omega):
-    """Integral of |psi|^2 over an axis-aligned box, in closed form."""
-    omega = [tuple(side) for side in omega]
-    if len(omega) != psi.dimension:
-        raise ValueError("box dimension mismatch")
-    if any(hi <= lo for lo, hi in omega):
-        raise NumericalSignal("empty-region", "box must have positive volume")
-    V = psi.shell.vectors
-    c = psi.amplitudes
-    total = 0.0 + 0.0j
-    for i, k in enumerate(V):
-        for j, kp in enumerate(V):
-            f = c[i] * np.conj(c[j])
-            for axis in range(psi.dimension):
-                f *= _box_factor(k[axis] - kp[axis], *omega[axis])
-            total += f
-    return float(total.real)
-
-
-_CUTOFFS = {
-    "sharp": lambda u: 1.0 if abs(u) <= 1.0 else 0.0,
-    "smooth": lambda u: math.cos(math.pi * u / 2.0) ** 2 if abs(u) <= 1.0 else 0.0,
-}
-
-
-def directional_filter(psi, xi0, R, cutoff="sharp"):
-    """Keep modes with k.xi0_perp/R inside the cutoff window.
-
-    xi0 must be (proportional to) an integer direction; returns the filtered
-    unnormalized state and the number of surviving modes.
-    """
-    if psi.dimension != 2:
-        raise NumericalSignal("unsupported-dimension", "directional_filter needs n = 2")
-    if R <= 0:
-        raise ValueError("need R > 0")
-    if cutoff not in _CUTOFFS:
-        raise ValueError(f"unknown cutoff {cutoff!r}; expected one of {sorted(_CUTOFFS)}")
-    v = np.asarray(xi0, dtype=float)
-    vr = np.round(v)
-    if not np.all(np.abs(v - vr) <= 1e-9 * max(1.0, float(np.abs(v).max()))):
-        raise NumericalSignal("irrational-direction", f"xi0={xi0}")
-    a, b = int(vr[0]), int(vr[1])
-    if a == 0 and b == 0:
-        raise ValueError("xi0 must be nonzero")
-    g = math.gcd(abs(a), abs(b))
-    a, b = a // g, b // g
-    norm = math.hypot(a, b)
-    chi = _CUTOFFS[cutoff]
-    weights = np.array(
-        [chi((-b * k1 + a * k2) / norm / R) for k1, k2 in psi.shell.vectors]
-    )
-    surviving = int(np.count_nonzero(weights))
-    return TorusEigenfunction(psi.shell, psi.amplitudes * weights), surviving
-
-
-def microlocal_weyl_average(M, a):
-    """Average of wigner(e_k, a) over the exponential basis 1 <= |k|^2 <= M,
-    each mode at its own hbar = |k|^{-1}."""
-    if M < 1:
-        raise ValueError("need M >= 1")
-    prof = a.terms.get((0, 0), 0.0)
-    r = math.isqrt(M)
-    ks = []
-    for k1 in range(-r, r + 1):
-        for k2 in range(-r, r + 1):
-            s = k1 * k1 + k2 * k2
-            if 1 <= s <= M:
-                ks.append((k1, k2))
-    total = 0.0 + 0.0j
-    for k in ks:
-        nk = math.sqrt(k[0] ** 2 + k[1] ** 2)
-        xi = np.array([k[0] / nk, k[1] / nk])
-        total += prof(xi) if callable(prof) else prof
-    return complex(total / len(ks))
-
-
 def evaluate_on_grid(psi, G):
     """psi sampled on the uniform G x G grid x = 2pi j / G (needs G > 2 sqrt(m))."""
     if G <= 2 * math.isqrt(psi.shell.radius_squared):

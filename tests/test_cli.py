@@ -129,6 +129,18 @@ def test_invalid_config_value_exits_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_unwritable_out_exits_1(tmp_path):
+    # an existing file, and a directory below one, cannot hold the report
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        proc = _cli("run", "--experiment", "pressure-bowen", "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("semiclab: cannot write to --out: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert taken.read_text(encoding="utf-8") == ""
+
+
 def test_fixture_failure_exits_2(tmp_path):
     # starved sample budget saturates the entropy estimate far from its target
     cfg = tmp_path / "small.json"

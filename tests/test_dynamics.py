@@ -1,4 +1,4 @@
-"""Birkhoff averages, entropy estimation, and pressure roots."""
+"""Sampled measures, entropy estimation, and pressure roots."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semiclab import _kernels, catmap, dynamics, experiments, torus
+from semiclab import _kernels, catmap, dynamics, experiments
 from semiclab._errors import NumericalSignal
 
 A = catmap.CatMap(2, 1, 1, 1)
@@ -41,65 +41,6 @@ def test_uniform_measure_seeded():
     assert np.array_equal(mu.points, nu.points)
     assert np.all(mu.weights == 1.0 / 50)
     assert mu.points.shape == (50, 2)
-
-
-def test_birkhoff_average_constant():
-    a = torus.TorusSymbol({(0, 0): complex(2.5)})
-    for T in (0.3, 1.0, 57.0):
-        v = dynamics.birkhoff_average_torus(a, (0.2, 0.7), (1.0, math.sqrt(2.0)), T)
-        assert abs(v - 2.5) < 1e-14
-
-
-def test_birkhoff_average_against_quadrature():
-    # Gauss-Legendre in time against the closed-form mode kernels
-    a = torus.TorusSymbol({(0, 0): 1.5, (2, 1): 0.7, (1, -1): 0.25j, (-2, -1): 0.7})
-    x = np.array([0.4, 1.1])
-    xi = np.array([1.0, math.sqrt(2.0)])
-    xin = xi / np.linalg.norm(xi)
-    for T in (0.8, 7.3):
-        u, w = np.polynomial.legendre.leggauss(80)
-        ts = 0.5 * T * (u + 1.0)
-        direct = 0.0
-        for t, wt in zip(ts, w):
-            pt = x + t * xin
-            direct += 0.5 * wt * sum(
-                c * np.exp(1j * (p[0] * pt[0] + p[1] * pt[1])) for p, c in a.terms.items()
-            )
-        val = dynamics.birkhoff_average_torus(a, x, xi, T)
-        assert abs(val - direct) < 1e-12
-
-
-def test_birkhoff_average_decay_and_validation():
-    # zero-mean symbols average down like 1/T along an irrational direction
-    a = torus.TorusSymbol({(2, 1): 0.7, (1, -1): 0.25j})
-    xi = np.array([1.0, math.sqrt(2.0)])
-    xin = xi / np.linalg.norm(xi)
-    C = sum(2.0 * abs(c) / abs(p[0] * xin[0] + p[1] * xin[1]) for p, c in a.terms.items())
-    for T in (10.0, 100.0, 1000.0):
-        assert abs(dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, T)) <= C / T
-    with pytest.raises(ValueError, match="T > 0"):
-        dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, 0.0)
-    with pytest.raises(ValueError, match="x-only"):
-        dynamics.birkhoff_average_torus(torus.TorusSymbol({(0, 0): lambda z: 1.0}), (0, 0), xi, 1.0)
-    for T in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite T > 0"):
-            dynamics.birkhoff_average_torus(a, (0.0, 0.0), xi, T)
-    for bad in ((0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)):
-        with pytest.raises(ValueError, match="finite and nonzero"):
-            dynamics.birkhoff_average_torus(a, (0.0, 0.0), bad, 1.0)
-
-
-def test_direction_rank():
-    assert dynamics.direction_rank("irrational") == 0
-    assert dynamics.direction_rank((2, 4)) == 1
-    assert dynamics.direction_rank((0.5, 1.3)) == 0
-    assert dynamics.direction_rank((1, 2, 3)) == 2
-    with pytest.raises(ValueError, match="unknown direction flag"):
-        dynamics.direction_rank("diophantine")
-    with pytest.raises(ValueError, match="nonzero"):
-        dynamics.direction_rank((0.0, 0.0))
-    with pytest.raises(NumericalSignal, match="unsupported"):
-        dynamics.direction_rank((1.0, math.sqrt(2.0), 0.5))
 
 
 def test_orbit_array_periodicity():

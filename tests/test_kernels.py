@@ -302,15 +302,21 @@ def test_haar_unitary_scales_the_fill_bitwise():
 
 
 def test_haar_unitary_is_the_one_draw():
-    # unitary, and the torus and sphere bases take their columns from it
+    # unitary, and the torus bases and the sphere trials take their columns from it
     shell = lattice.enumerate_shell(65, 2)
     U = _kernels._haar_unitary(np.random.default_rng(3), len(shell))
     assert np.abs(U.conj().T @ U - np.eye(len(shell))).max() < 1e-14
     basis = torus.random_shell_basis(shell, 3)
     assert np.array_equal(np.stack([b.amplitudes for b in basis], axis=1), U / (2 * math.pi))
-    onb = sphere.random_onb(5, 3)
-    U11 = _kernels._haar_unitary(np.random.default_rng(3), 11)
-    assert np.array_equal(np.stack([s.amplitudes for s in onb], axis=1), U11)
+    l, a = 5, [-1.0 / 3.0, 0.0, 1.0]
+    rec = sphere.concentration_experiment(l, a, 3, 3)
+    diag = sphere.band_compression(sphere.zonal_from_polynomial(a, 2), l).diagonal().real
+    rng = np.random.default_rng(3)
+    want = []
+    for _ in range(3):
+        U11 = _kernels._haar_unitary(rng, 2 * l + 1)
+        want.append(float(np.abs((np.abs(U11) ** 2 * diag[:, None]).sum(axis=0)).max()))
+    assert rec["sup_deviations"] == want
 
 
 def _husimi_bank(N, G, squeeze):

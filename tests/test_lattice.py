@@ -135,15 +135,19 @@ def test_pair_degeneracy_empty_shell_signal():
 
 
 def test_arc_lattice_count_full_circle():
-    assert lattice.arc_lattice_count(5.0, 0.0, 2 * math.pi * 5.0 + 1e-9) == 12
-    assert lattice.arc_lattice_count(math.sqrt(3), 0.3, 1.0) == 0
+    # an arc of length l on the circle of radius R has half-angle l / R / 2
+    shell = lattice.enumerate_shell(25, 2)
+    assert lattice.arc_counts(shell, [0.0], (2 * math.pi * 5.0 + 1e-9) / 5.0 / 2)[0] == 12
+    empty = lattice.enumerate_shell(3, 2)
+    assert lattice.arc_counts(empty, [0.3], 1.0 / math.sqrt(3) / 2)[0] == 0
 
 
 def test_arc_lattice_count_tiny_arc():
     # arc centered on the direction of (3, 4)
+    shell = lattice.enumerate_shell(25, 2)
     ang = math.atan2(4.0, 3.0)
-    assert lattice.arc_lattice_count(5.0, ang, 1e-6) == 1
-    assert lattice.arc_lattice_count(5.0, ang + 0.2, 1e-6) == 0
+    assert lattice.arc_counts(shell, [ang], 1e-6 / 5.0 / 2)[0] == 1
+    assert lattice.arc_counts(shell, [ang + 0.2], 1e-6 / 5.0 / 2)[0] == 0
 
 
 def cross_product_arc_count(shell, center_angle, span):
@@ -171,7 +175,6 @@ def test_arc_lattice_count_matches_angle_sweep():
     rng = np.random.default_rng(3)
     for m in (325, 5525):
         shell = lattice.enumerate_shell(m, 2)
-        R = math.sqrt(m)
         thetas = rng.uniform(0.0, 2 * math.pi, 50)
         for span in (0.05, 0.3, 1.0, 3.0, 3.5, 5.0, 6.2, 7.0):
             counts = lattice.arc_counts(shell, thetas, span / 2)
@@ -179,7 +182,6 @@ def test_arc_lattice_count_matches_angle_sweep():
             for theta, got in zip(thetas, counts):
                 want = cross_product_arc_count(shell, theta, span)
                 assert got == want, (m, span, theta)
-                assert lattice.arc_lattice_count(R, theta, span * R) == want
     # more than one block of 1024 arcs
     shell = lattice.enumerate_shell(325, 2)
     thetas = rng.uniform(0.0, 2 * math.pi, 2500)
@@ -225,8 +227,3 @@ def test_arc_counts_on_arc_ends_match_full_scan():
                 lo = cross_product_arc_count(shell, theta, 2 * half - 2e-9)
                 hi = cross_product_arc_count(shell, theta, 2 * half + 2e-9)
                 assert lo <= got <= hi, (m, half, theta)
-
-
-def test_arc_lattice_count_validation():
-    with pytest.raises(NumericalSignal, match="invalid-arc"):
-        lattice.arc_lattice_count(5.0, 0.0, -1.0)

@@ -25,7 +25,7 @@ def test_sph_harm_row_matches_scipy():
     for l in range(6):
         theta = rng.uniform(0.05, math.pi - 0.05)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        row = sphere.sph_harm_row(l, theta, phi)[0]
+        row = sphere._assemble_rows(sphere._norm_legendre(l, np.cos(theta))[:, l, :], phi)[0]
         for m in range(-l, l + 1):
             ref = _scipy_ylm(l, m, theta, phi)
             assert abs(row[l + m] - ref) < 1e-12 * max(1.0, abs(ref))
@@ -40,33 +40,14 @@ def test_sph_harm_row_orthonormal_quadrature():
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     tt = np.repeat(np.arccos(x), n_phi)
     pp = np.tile(phis, len(x))
-    rows = [sphere.sph_harm_row(l, tt, pp) for l in range(L + 1)]
+    rows = [
+        sphere._assemble_rows(sphere._norm_legendre(l, np.cos(tt))[:, l, :], pp)
+        for l in range(L + 1)
+    ]
     weights = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
     Y = np.hstack(rows)
     gram = Y.conj().T @ (weights[:, None] * Y)
     assert np.abs(gram - np.eye(Y.shape[1])).max() < 1e-12
-
-
-def test_evaluate_state_validates_and_matches_row():
-    amp = np.zeros(7, dtype=complex)
-    amp[2] = 1.0
-    s = sphere.SphericalState(3, amp)
-    v = sphere.evaluate_state(s, 1.1, 0.4)
-    assert abs(v - sphere.sph_harm_row(3, 1.1, 0.4)[0][2]) < 1e-15
-    with pytest.raises(ValueError):
-        sphere.evaluate_state(s, -0.1, 0.0)
-
-
-def test_spherical_state_validation():
-    with pytest.raises(ValueError):
-        sphere.SphericalState(-1, np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        sphere.SphericalState(1, np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        sphere.SphericalState(1, np.array([1.0, 1.0, 0.0], dtype=complex))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            sphere.SphericalState(1, np.array([bad, 0.0, 0.0], dtype=complex))
 
 
 def test_geodesic_point_validation():
@@ -79,38 +60,6 @@ def test_geodesic_point_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             sphere.GeodesicPoint(np.array([bad, 0.0, 0.0]))
-
-
-def test_highest_weight_constant_normalizes_state():
-    # c_l^2 * integral sin^{2l} dVol = 1, checked by quadrature that is exact
-    # for the polynomial degree involved
-    for l in (3, 10, 25):
-        c = sphere.highest_weight_constant(l)
-        x, w = np.polynomial.legendre.leggauss(l + 4)
-        mass = 2.0 * math.pi * float((w * (1.0 - x * x) ** l).sum()) * c * c
-        assert abs(mass - 1.0) < 1e-13
-    with pytest.raises(ValueError):
-        sphere.highest_weight_constant(-1)
-
-
-def test_highest_weight_growth_band():
-    # c_l ~ const * l^{1/4}; the ratio settles near (2 pi^{3/2})^{-1/2} ~ 0.2996
-    for l in (16, 64, 256):
-        r = sphere.highest_weight_constant(l) * l ** (-0.25)
-        assert 0.25 < r < 0.35
-
-
-def test_highest_weight_state_peaks_on_equator():
-    for l in (3, 10):
-        s = sphere.highest_weight_state(l)
-        c = sphere.highest_weight_constant(l)
-        v = sphere.evaluate_state(s, math.pi / 2.0, 0.0)
-        assert abs(v - c) < 1e-12 * c
-        v2 = sphere.evaluate_state(s, math.pi / 2.0, 0.7)
-        assert abs(v2 - c * np.exp(1j * l * 0.7)) < 1e-12 * c
-        # sin^l profile off the equator
-        v3 = sphere.evaluate_state(s, 1.0, 0.0)
-        assert abs(v3 - c * math.sin(1.0) ** l) < 1e-12 * c
 
 
 def test_equator_concentration_closed_forms():
@@ -127,8 +76,9 @@ def test_equator_concentration_against_quadrature():
     # direct integral of a(cos theta) |hw|^2 over the sphere
     l = 12
     a = [0.5, 0.0, -1.0, 0.0, 2.0]
-    c2 = sphere.highest_weight_constant(l) ** 2
     x, w = np.polynomial.legendre.leggauss(l + 6)
+    # c_l^2 normalizes |hw|^2 = c_l^2 sin^{2l}(theta) to unit mass
+    c2 = 1.0 / (2.0 * math.pi * float((w * (1.0 - x * x) ** l).sum()))
     av = np.polynomial.polynomial.polyval(x, np.asarray(a))
     direct = 2.0 * math.pi * c2 * float((w * av * (1.0 - x * x) ** l).sum())
     assert abs(direct - sphere.equator_concentration(l, a)) < 1e-14
@@ -159,16 +109,6 @@ def test_reproducing_kernel_diags_match_per_degree_tables():
         assert np.array_equal(full[:, l, : l + 1], sphere._norm_legendre(l, x)[:, l, :]), l
     want = [_reproducing_kernel_diag(l) for l in range(101)]
     assert sphere.reproducing_kernel_diags(100) == want
-
-
-def test_random_onb_is_orthonormal_and_seeded():
-    l = 6
-    basis = sphere.random_onb(l, 123)
-    Q = np.stack([s.amplitudes for s in basis], axis=1)
-    assert np.abs(Q.conj().T @ Q - np.eye(2 * l + 1)).max() < 1e-12
-    again = sphere.random_onb(l, 123)
-    for s, t in zip(basis, again):
-        assert np.array_equal(s.amplitudes, t.amplitudes)
 
 
 def test_zonal_diagonal_matches_closed_form():
@@ -311,9 +251,12 @@ def test_evaluate_coefficients_matches_blockwise_states():
     theta = rng.uniform(0.1, math.pi - 0.1, 5)
     phi = rng.uniform(0.0, 2.0 * math.pi, 5)
     vals = sphere.evaluate_coefficients(V, theta, phi)
-    states = [sphere.SphericalState(1, blocks[0]), sphere.SphericalState(3, blocks[1])]
     for i in range(5):
-        direct = sum(sphere.evaluate_state(s, theta[i], phi[i]) for s in states)
+        direct = sum(
+            c[l + m] * _scipy_ylm(l, m, theta[i], phi[i])
+            for l, c in ((1, blocks[0]), (3, blocks[1]))
+            for m in range(-l, l + 1)
+        )
         assert abs(vals[i] - direct) < 1e-13
     with pytest.raises(ValueError, match="wrong length"):
         sphere.evaluate_coefficients([np.zeros(2)], theta, phi)

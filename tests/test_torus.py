@@ -202,58 +202,6 @@ def test_quantum_variance_guards():
         torus.quantum_variance(bad, torus.cosine_symbol((1, 1)))
 
 
-def test_observability_mass():
-    psi = torus.random_eigenfunction(shell25(), 31)
-    assert torus.observability_mass(psi, ((0.0, TWO_PI), (0.0, TWO_PI))) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    # a single plane wave has uniform mass: half the box carries 1/2
-    shell = lattice.enumerate_shell(1, 2)
-    c = np.zeros(4, dtype=complex)
-    c[1] = 1.0 / TWO_PI
-    plane = torus.TorusEigenfunction(shell, c)
-    half = torus.observability_mass(plane, ((0.0, math.pi), (0.0, TWO_PI)))
-    assert half == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(NumericalSignal, match="empty-region"):
-        torus.observability_mass(psi, ((1.0, 1.0), (0.0, TWO_PI)))
-
-
-def test_directional_filter_sharp():
-    psi = torus.random_eigenfunction(shell25(), 37)
-    filtered, surviving = torus.directional_filter(psi, (3, 4), 2.0)
-    # perpendicular distances on shell 25: 0 for +-(3,4), 7/5 for +-(4,3),
-    # and >= 3 for everything else
-    assert surviving == 4
-    idx = psi.shell.index()
-    keep = {idx[v] for v in ((3, 4), (-3, -4), (4, 3), (-4, -3))}
-    for i in range(len(psi.shell)):
-        if i in keep:
-            assert filtered.amplitudes[i] == psi.amplitudes[i]
-        else:
-            assert filtered.amplitudes[i] == 0
-    # direction scaling does not change the filter
-    filtered2, surviving2 = torus.directional_filter(psi, (6, 8), 2.0)
-    assert surviving2 == surviving
-    assert np.array_equal(filtered2.amplitudes, filtered.amplitudes)
-
-
-def test_directional_filter_irrational_signal():
-    psi = torus.random_eigenfunction(shell25(), 41)
-    with pytest.raises(NumericalSignal, match="irrational-direction"):
-        torus.directional_filter(psi, (1.0, math.sqrt(2)), 1.0)
-
-
-def test_directional_filter_unknown_cutoff():
-    psi = torus.random_eigenfunction(shell25(), 41)
-    with pytest.raises(ValueError, match="cutoff 'foo'"):
-        torus.directional_filter(psi, (3, 4), 2.0, cutoff="foo")
-
-
-def test_microlocal_weyl_average_constant():
-    avg = torus.microlocal_weyl_average(25, torus.TorusSymbol({(0, 0): complex(2.5)}))
-    assert avg == pytest.approx(2.5, abs=1e-12)
-
-
 def test_evaluate_on_grid_parseval():
     psi = torus.random_eigenfunction(shell25(), 43)
     vals = torus.evaluate_on_grid(psi, 32)
