@@ -55,15 +55,14 @@ class CatMap:
 
 @dataclass(frozen=True)
 class QuantizedCatMap:
-    """U_N(A) as the checked generator word of A, compiled once for
-    `apply_propagator`. `blocks`, U on the even and odd subspaces of the
-    parity j -> -j mod N, and the dense U, their unfold, are built on first
-    use."""
+    """U_N(A) as the checked generator word of A. Its compiled `steps` for
+    `apply_propagator`, `blocks`, U on the even and odd subspaces of the
+    parity j -> -j mod N, and the dense U, their unfold, are each built once,
+    on first use."""
 
     cat: CatMap
     N: int
     word: tuple = field(init=False)
-    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cat.is_hyperbolic():
@@ -74,7 +73,10 @@ class QuantizedCatMap:
         if _word_matrix(word) != self.cat.matrix():
             raise NumericalSignal("no-period", "generator word does not reproduce the map")
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "steps", _compile_word(word, self.N))
+
+    @functools.cached_property
+    def steps(self):
+        return _compile_word(self.word, self.N)
 
     @functools.cached_property
     def blocks(self):
@@ -84,9 +86,9 @@ class QuantizedCatMap:
         # parity-mixing part dropped after a check that it is roundoff, and
         # the word's products run on the two blocks of about N/2 each.
         N = self.N
-        F = _fourier(N)
+        *F, mixing = _fourier_blocks(N)
         diag = {c: _shear_diag(N, c) for g, c in self.word if g == "S"}
-        mixing = max(_parity_mixing(M) for M in (F, *diag.values()))
+        mixing = max(mixing, *(_parity_mixing(d) for d in diag.values()))
         if mixing > 1e-10:
             raise NumericalSignal("parity-mixing", f"N={N}: a generator mixes parities by {mixing:.2e}")
         r = -np.arange(N) % N
@@ -94,7 +96,7 @@ class QuantizedCatMap:
         parts = (slice(0, N // 2 + 1), slice(1, (N + 1) // 2))
         return tuple(
             _word_product(self.word, Fb, {c: h[part] for c, h in half.items()})
-            for Fb, part in zip(_parity_blocks(F), parts)
+            for Fb, part in zip(F, parts)
         )
 
     @functools.cached_property
@@ -142,16 +144,46 @@ def translation_operator(N, m):
     return T
 
 
-def _fourier(N):
-    # exp(-2 pi i jk / N) / sqrt(N), with one exp per distinct product jk,
-    # gathered; each entry is bitwise the elementwise formula's
-    jk = np.outer(np.arange(N), np.arange(N))
-    seen = np.zeros(jk[-1, -1] + 1, dtype=bool)
-    seen[jk] = True
-    p = np.flatnonzero(seen)
-    table = np.empty(len(seen), dtype=complex)
-    table[p] = np.exp(-2j * np.pi * p / N) / math.sqrt(N)
-    return table[jk]
+def _fourier_blocks(N):
+    # The unitary DFT exp(-2 pi i jk / N) / sqrt(N) on the parity-even basis
+    # e_0, (e_j + e_-j)/sqrt2 for 0 < j < N/2 and e_{N/2} for even N, and on
+    # the parity-odd basis (e_j - e_-j)/sqrt2, and the largest entry of its
+    # part that mixes the two parities, which is dropped. Each entry takes jk
+    # unreduced, one exp per distinct product, so it is bitwise the
+    # elementwise formula's. F is symmetric, so its quarters a = F[j, k],
+    # b = F[-j, k] and d = F[-j, -k] for 0 <= j, k <= N/2 hold every entry
+    # of the fold: F[j, -k] is b transposed.
+    j = np.arange(N // 2 + 1)
+    r = -j % N
+    pairs = ((j, j), (r, j), (r, r))
+    seen = np.zeros(r.max() ** 2 + 1, dtype=bool)
+    for x, y in pairs:
+        seen[np.multiply.outer(x, y)] = True
+    table = np.exp(-2j * np.pi * np.flatnonzero(seen) / N) / math.sqrt(N)
+    # the rank of each marked product among the marks, in the narrowest
+    # integer type that holds it, counted in place
+    rank = seen.astype(np.min_scalar_type(seen.size))
+    np.cumsum(rank, dtype=rank.dtype, out=rank)
+    a, b, d = (table[rank[np.multiply.outer(x, y)] - 1] for x, y in pairs)
+    del seen, table, rank  # freed before the fold's temporaries
+    # R fixes index 0 and reverses 1..N-1, so F - RFR is a - d and b - b^T on
+    # the quarters, mirrored; row and column 0 of F are constant
+    mixing = max(
+        float(np.abs(x[1:, 1:] - y[1:, 1:]).max(initial=0.0)) for x, y in ((a, d), (b, b.T))
+    )
+    # the sums keep the order of a fold by rows, then columns:
+    # (a + b) + (b^T + d) and (a - b) - (b^T - d)
+    k = slice(1, (N + 1) // 2)
+    odd = a[k, k] - b[k, k]
+    odd -= b.T[k, k] - d[k, k]
+    odd *= 0.5
+    a += b
+    d += b.T
+    a += d
+    c = np.where(j == r, 0.5, math.sqrt(0.5))
+    a *= c[:, None]
+    a *= c
+    return a, odd, mixing
 
 
 def _shear_diag(N, c):
@@ -272,32 +304,15 @@ def classical_period_mod(A, N):
             raise NumericalSignal("no-period", f"no period below {guard} for N={N}")
 
 
-def _parity_blocks(M):
-    # M on the parity-even basis e_0, (e_j + e_-j)/sqrt2 for 0 < j < N/2 and
-    # e_{N/2} for even N, and on the parity-odd basis (e_j - e_-j)/sqrt2; the
-    # part of M that maps one parity to the other is dropped
-    N = len(M)
-    j = np.arange(N // 2 + 1)
-    k = np.arange(1, (N + 1) // 2)
-    c = np.where(j == -j % N, 0.5, math.sqrt(0.5))
-    even = M[j] + M[-j % N]
-    odd = M[k] - M[N - k]
-    even = even.take(j, axis=1) + even.take(-j % N, axis=1)
-    return c[:, None] * even * c, 0.5 * (odd.take(k, axis=1) - odd.take(N - k, axis=1))
-
-
-def _parity_mixing(M):
-    # max |M - R M R| for the parity R: j -> -j mod N, on a diagonal or a
-    # matrix; R fixes index 0 and reverses 1..N-1, so the mirror is a view
-    if M.ndim == 1:
-        return float(np.abs(M[1:] - M[:0:-1]).max(initial=0.0))
-    inner = float(np.abs(M[1:, 1:] - M[:0:-1, :0:-1]).max(initial=0.0))
-    return max(inner, _parity_mixing(M[0]), _parity_mixing(M[:, 0]))
+def _parity_mixing(d):
+    # max |d - R d| for the parity R: j -> -j mod N on a diagonal; R fixes
+    # index 0 and reverses 1..N-1, so the mirror is a view
+    return float(np.abs(d[1:] - d[:0:-1]).max(initial=0.0))
 
 
 def _parity_unfold(even, odd):
     # the N x N matrix that is `even` on the parity-even basis and `odd` on
-    # the parity-odd basis of _parity_blocks; each entry (j, k) is gathered
+    # the parity-odd basis of _fourier_blocks; each entry (j, k) is gathered
     # from the basis vectors through e_j and e_k, with no matrix product
     N = len(even) + len(odd)
     j = np.arange(N)
@@ -310,6 +325,15 @@ def _parity_unfold(even, odd):
     q = p[k] - 1
     M[np.ix_(k, k)] += s[:, None] * odd[np.ix_(q, q)] * s
     return M
+
+
+def _scalar_distance(w, s):
+    # max |w - s I| for a square w, without building s I: its diagonal, and
+    # its off-diagonal entries as an (n - 1, n) view, since past the first
+    # entry of the flat w each diagonal entry ends a run of n + 1
+    n = len(w)
+    off = w.reshape(-1)[1:].reshape(-1, n + 1)[:, :n]
+    return max(np.abs(w.diagonal() - s).max(initial=0.0), np.abs(off).max(initial=0.0))
 
 
 def quantum_period(Q):
@@ -333,9 +357,7 @@ def quantum_period(Q):
     t = t_cl
     while t <= bound:
         s = (np.trace(W[0]) + np.trace(W[1])) / N
-        if abs(abs(s) - 1.0) <= 1e-8 and all(
-            np.abs(w - s * np.eye(len(w))).max(initial=0.0) <= 1e-8 for w in W
-        ):
+        if abs(abs(s) - 1.0) <= 1e-8 and all(_scalar_distance(w, s) <= 1e-8 for w in W):
             return {"period": t, "phase": complex(s / abs(s)), "classical_period": t_cl}
         W = [w @ p for w, p in zip(W, P)]
         t += t_cl

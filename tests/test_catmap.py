@@ -122,11 +122,17 @@ def test_apply_propagator_rejects_wrong_length():
             catmap.apply_propagator(Q, v)
 
 
+def _dft(N):
+    # slow reference: the unitary DFT, entry by entry
+    j = np.arange(N)
+    return np.exp(-2j * np.pi * np.outer(j, j) / N) / math.sqrt(N)
+
+
 def _generator_product(word, N, X):
     # slow reference: the dense generators applied one by one, innermost first
     out = X.T.astype(complex)
     for g, c in word:
-        out = (catmap._fourier(N) if g == "J" else np.diag(catmap._shear_diag(N, c))) @ out
+        out = (_dft(N) if g == "J" else np.diag(catmap._shear_diag(N, c))) @ out
     return out.T
 
 
@@ -256,6 +262,21 @@ def _parity_basis(N):
     return np.array(even).reshape(-1, N).T, np.array(odd).reshape(-1, N).T
 
 
+def _parity_fold(M):
+    # slow reference: M on the parity-even basis e_0, (e_j + e_-j)/sqrt2 for
+    # 0 < j < N/2 and e_{N/2} for even N, and on the parity-odd basis
+    # (e_j - e_-j)/sqrt2, folded rows first, then columns; the part of M that
+    # maps one parity to the other is dropped
+    N = len(M)
+    j = np.arange(N // 2 + 1)
+    k = np.arange(1, (N + 1) // 2)
+    c = np.where(j == -j % N, 0.5, math.sqrt(0.5))
+    even = M[j] + M[-j % N]
+    odd = M[k] - M[N - k]
+    even = even.take(j, axis=1) + even.take(-j % N, axis=1)
+    return c[:, None] * even * c, 0.5 * (odd.take(k, axis=1) - odd.take(N - k, axis=1))
+
+
 def test_parity_blocks_match_an_explicit_basis():
     rng = np.random.default_rng(17)
     for N in (1, 2, 3, 4, 7, 8, 21):
@@ -263,7 +284,7 @@ def test_parity_blocks_match_an_explicit_basis():
         S = np.hstack([Se, So])
         assert S.shape == (N, N) and np.abs(S.T @ S - np.eye(N)).max() < 1e-15
         M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        even, odd = catmap._parity_blocks(M)
+        even, odd = _parity_fold(M)
         assert even.shape == (Se.shape[1],) * 2 and odd.shape == (So.shape[1],) * 2
         assert np.abs(even - Se.T @ M @ Se).max() < 1e-14, N
         assert np.abs(odd - So.T @ M @ So).max(initial=0.0) < 1e-14, N
@@ -278,14 +299,14 @@ def test_parity_unfold_inverts_the_fold():
         odd = rng.standard_normal((no, no)) + 1j * rng.standard_normal((no, no))
         M = catmap._parity_unfold(even, odd)
         assert np.abs(M - (Se @ even @ Se.T + So @ odd @ So.T)).max() < 1e-14, N
-        back = catmap._parity_blocks(M)
+        back = _parity_fold(M)
         assert np.abs(back[0] - even).max() < 1e-14, N
         assert np.abs(back[1] - odd).max(initial=0.0) < 1e-14, N
         # the fold drops the part that mixes the parities: the round trip
         # from a full matrix is its projection onto the two blocks
         X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         proj = Se @ Se.T @ X @ Se @ Se.T + So @ So.T @ X @ So @ So.T
-        assert np.abs(catmap._parity_unfold(*catmap._parity_blocks(X)) - proj).max() < 1e-14, N
+        assert np.abs(catmap._parity_unfold(*_parity_fold(X)) - proj).max() < 1e-14, N
 
 
 def test_parity_mixing_matches_the_mirrored_matrix():
@@ -293,10 +314,9 @@ def test_parity_mixing_matches_the_mirrored_matrix():
     for N in (1, 2, 3, 4, 7, 8, 21):
         r = -np.arange(N) % N
         M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        assert catmap._parity_mixing(M) == np.abs(M - M[r][:, r]).max(), N
         assert catmap._parity_mixing(M[-1]) == np.abs(M[-1] - M[-1][r]).max(), N
-        # a matrix that commutes with the parity does not mix
-        assert catmap._parity_mixing(M + M[r][:, r]) == 0.0, N
+        # a diagonal that commutes with the parity does not mix
+        assert catmap._parity_mixing(M[-1] + M[-1][r]) == 0.0, N
 
 
 def test_parity_mixing_propagator_raises(monkeypatch):
@@ -315,13 +335,37 @@ def test_parity_mixing_propagator_raises(monkeypatch):
         catmap.quantum_period(catmap.QuantizedCatMap(A, N))
 
 
+def _assert_fourier_blocks_bitwise(N):
+    # the fold of the DFT's distinct products against the row-then-column
+    # fold of the elementwise DFT, bit for bit, and its mixing part against
+    # the mirrored matrix
+    F = _dft(N)
+    r = -np.arange(N) % N
+    *blocks, mixing = catmap._fourier_blocks(N)
+    for got, ref in zip(blocks, _parity_fold(F)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape, N
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64)), N
+    assert mixing == np.abs(F - F[r][:, r]).max(), N
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 97, 256, 511, 512])
 def test_fourier_is_bitwise_the_elementwise_formula(N):
-    j = np.arange(N)
-    ref = np.exp(-2j * np.pi * np.outer(j, j) / N) / math.sqrt(N)
-    F = catmap._fourier(N)
-    assert F.dtype == ref.dtype and F.shape == ref.shape
-    assert np.array_equal(F.view(np.float64), ref.view(np.float64))
+    _assert_fourier_blocks_bitwise(N)
+
+
+def test_fourier_blocks_build_no_full_size_array():
+    # the blocks take the DFT's three quarter grids, never the N x N DFT: a
+    # build that gathers it from an (N - 1)^2 table and folds it with
+    # full-size temporaries peaks at about 11 MB at N = 512
+    tracemalloc.start()
+    try:
+        catmap.QuantizedCatMap(A, 512).blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    for N in list(range(1, 65)) + [127, 128, 255, 256, 511, 512]:
+        _assert_fourier_blocks_bitwise(N)
 
 
 def test_matrix_free_period_matches_dense():
@@ -348,7 +392,7 @@ def test_scar_record_builds_no_dense_matrix(monkeypatch):
     def no_dense(N):
         raise AssertionError("dense DFT built")
 
-    monkeypatch.setattr(catmap, "_fourier", no_dense)
+    monkeypatch.setattr(catmap, "_fourier_blocks", no_dense)
     assert catmap.scar_record(A, 504)["period"] == 24
 
 
