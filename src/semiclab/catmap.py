@@ -7,10 +7,10 @@ e^{2 pi i w(a,b)/N}, with w the integer symplectic form. Propagators are
 built as products of the quantized generators J (a DFT) and lower shears
 (quadratic phase diagonals e^{i pi c j (j+N) / N}); the j(j+N) exponent keeps
 the shear well defined for both parities, so exact Egorov holds with no
-parity correction. The dense products run on the even and odd subspaces of
-the parity j -> -j mod N, with which every generator commutes. The
-matrix-free path runs the word compiled once per (A, N) into a few numpy
-steps.
+parity correction. The word is compiled once per (A, N) into a few numpy
+steps; the dense U is those steps applied to the identity. The period
+table's matrix powers run on the even and odd subspaces of the parity
+j -> -j mod N, with which every generator commutes.
 """
 
 import cmath
@@ -56,9 +56,9 @@ class CatMap:
 @dataclass(frozen=True)
 class QuantizedCatMap:
     """U_N(A) as the checked generator word of A. Its compiled `steps` for
-    `apply_propagator`, `blocks`, U on the even and odd subspaces of the
-    parity j -> -j mod N, and the dense U, their unfold, are each built once,
-    on first use."""
+    `apply_propagator`, the dense U, those steps applied to the identity, and
+    `blocks`, U on the even and odd subspaces of the parity j -> -j mod N for
+    `quantum_period`, are each built once, on first use."""
 
     cat: CatMap
     N: int
@@ -101,7 +101,7 @@ class QuantizedCatMap:
 
     @functools.cached_property
     def U(self):
-        return _parity_unfold(*self.blocks)
+        return apply_propagator(self, np.eye(self.N)).T
 
 
 def _word_product(word, F, diag):
@@ -308,23 +308,6 @@ def _parity_mixing(d):
     # max |d - R d| for the parity R: j -> -j mod N on a diagonal; R fixes
     # index 0 and reverses 1..N-1, so the mirror is a view
     return float(np.abs(d[1:] - d[:0:-1]).max(initial=0.0))
-
-
-def _parity_unfold(even, odd):
-    # the N x N matrix that is `even` on the parity-even basis and `odd` on
-    # the parity-odd basis of _fourier_blocks; each entry (j, k) is gathered
-    # from the basis vectors through e_j and e_k, with no matrix product
-    N = len(even) + len(odd)
-    j = np.arange(N)
-    paired = j != -j % N
-    c = np.where(paired, math.sqrt(0.5), 1.0)
-    p = np.minimum(j, N - j)
-    M = c[:, None] * even[np.ix_(p, p)] * c
-    k = np.flatnonzero(paired)
-    s = np.where(k < N - k, math.sqrt(0.5), -math.sqrt(0.5))
-    q = p[k] - 1
-    M[np.ix_(k, k)] += s[:, None] * odd[np.ix_(q, q)] * s
-    return M
 
 
 def _scalar_distance(w, s):

@@ -391,7 +391,7 @@ def _run_catmap_egorov(cfg):
                 Am = (A.a * m1 + A.b * m2, A.c * m1 + A.d * m2)
                 TA = catmap.translation_operator(N, Am)
                 V = Q.U.conj().T @ T @ Q.U
-                theta = np.trace(TA.conj().T @ V) / N
+                theta = np.vdot(TA, V) / N
                 err = float(np.abs(V - theta * TA).max())
                 worst = max(worst, err, abs(abs(theta) - 1.0))
     cpm_5 = catmap.classical_period_mod(A, 5)

@@ -268,11 +268,16 @@ def quantum_average(B, L):
     return out
 
 
-def _compression_matrix(V, l):
+def band_compression(V, l):
+    """Matrix of <Y_lm, V Y_lm'> on the degree-l eigenspace, by one
+    Gauss-Legendre rule of l + deg V // 2 + 8 nodes in cos(theta); the
+    integrand is a polynomial of degree <= 2l + deg V, so the rule is exact
+    up to roundoff."""
+    if l < 1:
+        raise ValueError("need l >= 1")
     # <Y_lm, V Y_lm'> = 2pi int g_{m-m'}(x) Theta_lm(x) Theta_lm'(x) dx, where
-    # g_d = sum_k V_k[d] Theta_kd is the e^{id phi} mode of V; the integrand
-    # is a polynomial of degree <= 2l + deg V, which n nodes integrate exactly
-    # once 2n - 1 >= 2l + deg V
+    # g_d = sum_k V_k[d] Theta_kd is the e^{id phi} mode of V; n nodes are
+    # exact once 2n - 1 >= 2l + deg V
     LV = len(V) - 1
     x, w = np.polynomial.legendre.leggauss(l + LV // 2 + 8)
     P = _norm_legendre(max(l, LV), x)
@@ -289,16 +294,6 @@ def _compression_matrix(V, l):
         i = np.arange(max(d, 0), 2 * l + 1 + min(d, 0))  # rows m with |m - d| <= l
         M[i, i - d] = 2.0 * math.pi * ((w * g[:, LV + d]) @ (rows[:, i] * rows[:, i - d]))
     return 0.5 * (M + M.conj().T)
-
-
-def band_compression(V, l):
-    """Matrix of <Y_lm, V Y_lm'> on the degree-l eigenspace, by one
-    Gauss-Legendre rule of l + deg V // 2 + 8 nodes in cos(theta); the
-    integrand is a polynomial of degree <= 2l + deg V, so the rule is exact
-    up to roundoff."""
-    if l < 1:
-        raise ValueError("need l >= 1")
-    return _compression_matrix(V, l)
 
 
 def _is_zonal(V):

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from semiclab import catmap
+from semiclab import catmap, experiments
 from semiclab._errors import NumericalSignal
 
 A = catmap.CatMap(2, 1, 1, 1)
@@ -160,10 +160,11 @@ def test_compiled_word_matches_generator_product(cat, word, n_steps):
         ref = _generator_product(word, N, X)
         assert np.abs(Y - ref).max() < 1e-12, N
         assert np.array_equal(catmap.apply_propagator(Q, X[1]), Y[1]), N
-        # the dense U of the same word, built as QuantizedCatMap.U builds it:
-        # the unfold of the word's product on the two parity blocks
-        U = catmap._parity_unfold(*catmap.QuantizedCatMap.blocks.func(Q))
-        assert np.abs(X @ U.T - ref).max() < 1e-12, N
+        # the word's product on the two parity blocks, which quantum_period
+        # powers, against the fold of the dense generator product
+        blocks = catmap.QuantizedCatMap.blocks.func(Q)
+        for got, want in zip(blocks, _parity_fold(_generator_product(word, N, np.eye(N)).T)):
+            assert np.abs(got - want).max(initial=0.0) < 1e-12, N
 
 
 def _brute_period(Amat, N):
@@ -290,25 +291,6 @@ def test_parity_blocks_match_an_explicit_basis():
         assert np.abs(odd - So.T @ M @ So).max(initial=0.0) < 1e-14, N
 
 
-def test_parity_unfold_inverts_the_fold():
-    rng = np.random.default_rng(19)
-    for N in (1, 2, 3, 4, 7, 8, 21):
-        Se, So = _parity_basis(N)
-        ne, no = Se.shape[1], So.shape[1]
-        even = rng.standard_normal((ne, ne)) + 1j * rng.standard_normal((ne, ne))
-        odd = rng.standard_normal((no, no)) + 1j * rng.standard_normal((no, no))
-        M = catmap._parity_unfold(even, odd)
-        assert np.abs(M - (Se @ even @ Se.T + So @ odd @ So.T)).max() < 1e-14, N
-        back = _parity_fold(M)
-        assert np.abs(back[0] - even).max() < 1e-14, N
-        assert np.abs(back[1] - odd).max(initial=0.0) < 1e-14, N
-        # the fold drops the part that mixes the parities: the round trip
-        # from a full matrix is its projection onto the two blocks
-        X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        proj = Se @ Se.T @ X @ Se @ Se.T + So @ So.T @ X @ So @ So.T
-        assert np.abs(catmap._parity_unfold(*_parity_fold(X)) - proj).max() < 1e-14, N
-
-
 def test_parity_mixing_matches_the_mirrored_matrix():
     rng = np.random.default_rng(23)
     for N in (1, 2, 3, 4, 7, 8, 21):
@@ -397,12 +379,24 @@ def test_scar_record_builds_no_dense_matrix(monkeypatch):
 
 
 def test_quantum_period_builds_no_dense_matrix(monkeypatch):
-    def no_dense(even, odd):
+    def no_dense(Q):
         raise AssertionError("dense U built")
 
-    monkeypatch.setattr(catmap, "_parity_unfold", no_dense)
+    monkeypatch.setattr(catmap.QuantizedCatMap, "U", property(no_dense))
     assert catmap.quantum_period(catmap.QuantizedCatMap(A, 55))["period"] == 10
     assert catmap.quantum_period(catmap.QuantizedCatMap(A, 504))["period"] == 24
+
+
+def test_dense_u_and_partitions_need_no_parity_blocks(monkeypatch):
+    # U is the compiled word applied to the identity; only quantum_period
+    # reads the parity blocks
+    def no_blocks(N):
+        raise AssertionError("parity blocks built")
+
+    monkeypatch.setattr(catmap, "_fourier_blocks", no_blocks)
+    Q = catmap.propagator(A, 233)
+    assert np.abs(Q.U @ Q.U.conj().T - np.eye(233)).max() < 1e-12
+    assert experiments.run_experiment("partition-decay")["pass"]
 
 
 def test_coherent_state_shape():
@@ -620,13 +614,13 @@ def test_eigensystem_properties():
 
 
 def test_eigensystem_independent_of_propagator_rounding():
-    # the dense matrix and the column-wise matrix-free build of U differ only
+    # U from the compiled word and the dense generator product differ only
     # by rounding, so the returned eigenbasis must agree column by column;
     # N=101 and N=401 have an eigenvalue at -1, and at N=401 every degenerate
     # cluster has a single parity, which the half cutoff alone cannot split
     for N in (101, 211, 401):
         Q = catmap.propagator(A, N)
-        U2 = np.stack([catmap.apply_propagator(Q, e) for e in np.eye(N)], axis=1)
+        U2 = _generator_product(Q.word, N, np.eye(N)).T
         assert np.abs(U2 - Q.U).max() < 1e-12
         dense = catmap.eigensystem(Q)
         free = catmap.eigensystem(types.SimpleNamespace(N=N, U=U2))
