@@ -4,7 +4,7 @@
 of a grid of cells at least eps wide and filters them step by step, and
 `l4_moment_sums` evaluates the same-midpoint chord identity in O(s) per
 state. `_gaussian_window` is the one truncation of the periodized Gaussian,
-cut at exp(-40): `catmap.coherent_state` folds it onto Z/N, and
+cut at exp(-40): `catmap._coherent_array` folds it onto Z/N, and
 `husimi_grid` forms each grid row's overlaps on it, with the exact aliased
 norm. `_ginibre` is the one complex Gaussian fill, and `_haar_unitary`, the
 one Haar draw on U(d), takes its QR behind the random torus-shell bases and

@@ -347,22 +347,10 @@ def quantum_period(Q):
     raise NumericalSignal("period-not-found", f"N={N}: no scalar power below {bound}")
 
 
-def coherent_state(N, x0, xi0, squeeze=1.0):
-    """Periodized Gaussian wave packet at (x0, xi0), normalized.
-
-    `_kernels._gaussian_window` about N x0, folded onto Z/N with the phase
-    e^{2 pi i xi0 (n - N x0)}; the terms below exp(-40) ~ 4e-18 are dropped.
-    """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if not (0 <= x0 < 1 and 0 <= xi0 < 1):
-        raise ValueError("center must lie in [0,1)^2")
-    if squeeze <= 0:
-        raise ValueError("need squeeze > 0")
-    return TorusPhaseState(N, _coherent_array(N, x0, xi0, squeeze))
-
-
 def _coherent_array(N, x0, xi0, squeeze=1.0):
+    # the periodized Gaussian wave packet at (x0, xi0), normalized:
+    # `_kernels._gaussian_window` about N x0, folded onto Z/N with the phase
+    # e^{2 pi i xi0 (n - N x0)}; the terms below exp(-40) ~ 4e-18 are dropped
     c = N * x0
     n, g = _kernels._gaussian_window(N, c, squeeze)
     psi = np.zeros(N, dtype=complex)

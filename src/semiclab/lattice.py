@@ -1,9 +1,9 @@
 """Exact integer lattice arithmetic.
 
-Shell enumeration, ball counting, pair-degeneracy counts, and lattice
-points on circular arcs. Membership in a shell or a ball is decided in
-exact integer arithmetic; floats enter only in arc counts, which compare
-each shell point's angle with the arc's center.
+Shell enumeration, ball counting, and lattice points on circular arcs.
+Membership in a shell or a ball is decided in exact integer arithmetic;
+floats enter only in arc counts, which compare each shell point's angle
+with the arc's center.
 
 `enumerate_shell` builds one shell of Z^n by a per-m loop; it is the exact
 reference. `shells_2d` builds every shell of Z^2 up to M in one sieve pass:
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from semiclab._errors import NumericalSignal
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,6 @@ def _count_leq(s, n):
         return 0
     if n == 1:
         return 2 * math.isqrt(s) + 1
-    if n == 2:
-        total = 0
-        r = math.isqrt(s)
-        for k in range(-r, r + 1):
-            total += 2 * math.isqrt(s - k * k) + 1
-        return total
     total = 0
     r = math.isqrt(s)
     for k in range(-r, r + 1):
@@ -109,15 +101,6 @@ def count_in_ball(R, n):
     # decided without rounding.
     s = Fraction(R) ** 2
     return _count_leq(math.floor(s), n)
-
-
-def pair_degeneracy(shell, p):
-    """Number of shell vectors k such that k - p is also on the shell."""
-    if len(shell) == 0:
-        raise NumericalSignal("empty-shell", "pair_degeneracy needs a nonempty shell")
-    members = set(shell.vectors)
-    p = tuple(p)
-    return sum(1 for k in shell.vectors if tuple(a - b for a, b in zip(k, p)) in members)
 
 
 def arc_counts(shell, centers, half):

@@ -125,14 +125,6 @@ def reproducing_kernel_diags(L):
     return out
 
 
-def alpha_cos2(l):
-    """Closed-form <Y_lm, cos^2 theta Y_lm> for m = -l..l."""
-    m = np.arange(-l, l + 1, dtype=float)
-    up = ((l + 1.0) ** 2 - m**2) / ((2 * l + 1.0) * (2 * l + 3.0))
-    dn = (l**2 - m**2) / ((2 * l - 1.0) * (2 * l + 1.0)) if l > 0 else np.zeros_like(m)
-    return up + dn
-
-
 def concentration_experiment(l, a, trials, seed):
     """Distribution of sup_m |integral a |e_m|^2| over Haar bases of E_l.
 
@@ -248,11 +240,6 @@ def block_slices(L):
         out.append(slice(start, start + 2 * l + 1))
         start += 2 * l + 1
     return out
-
-
-def laplacian_diagonal(L):
-    """Diagonal of the Laplacian on the stacked harmonic decomposition."""
-    return np.concatenate([np.full(2 * l + 1, l * (l + 1.0)) for l in range(L + 1)])
 
 
 def quantum_average(B, L):

@@ -2,10 +2,11 @@
 
 Conventions (frozen): psi(x) = sum_k c_k e^{ik.x} on [0, 2pi]^n with
 <f, g> = integral conj(f) g dx, so norm 1 means (2pi)^n sum |c_k|^2 = 1.
-density_moment(p) is the p-th Fourier coefficient of |psi|^2, i.e.
-|psi(x)|^2 = sum_p density_moment(p) e^{ip.x}. The Weyl matrix element
-between modes k and k+p evaluates the momentum profile at the midpoint
-hbar (k + p/2), which makes conjugation by the quantum flow exact.
+The density moments M(p) = sum_k c_k conj(c_{k-p}) are the Fourier
+coefficients of |psi|^2, i.e. |psi(x)|^2 = sum_p M(p) e^{ip.x}. The Weyl
+matrix element between modes k and k+p evaluates the momentum profile at
+the midpoint hbar (k + p/2), which makes conjugation by the quantum flow
+exact.
 """
 
 import cmath
@@ -35,9 +36,6 @@ class TorusEigenfunction:
     @property
     def hbar(self):
         return self.shell.radius_squared ** -0.5
-
-    def norm_squared(self):
-        return TWO_PI ** self.dimension * float((np.abs(self.amplitudes) ** 2).sum())
 
 
 @dataclass(frozen=True)
@@ -97,18 +95,6 @@ def random_shell_basis(shell, seed):
     Q = _kernels._haar_unitary(np.random.default_rng(seed), len(shell))
     C = Q / TWO_PI ** (shell.dimension / 2)
     return [TorusEigenfunction(shell, C[:, j].copy()) for j in range(len(shell))]
-
-
-def density_moment(psi, p):
-    """sum_k c_k conj(c_{k-p}) over pairs with both k and k-p on the shell."""
-    idx = psi.shell.index()
-    p = tuple(p)
-    total = 0.0 + 0.0j
-    for i, k in enumerate(psi.shell.vectors):
-        j = idx.get(tuple(a - b for a, b in zip(k, p)))
-        if j is not None:
-            total += psi.amplitudes[i] * np.conj(psi.amplitudes[j])
-    return complex(total)
 
 
 def exact_l4(psi):
@@ -221,12 +207,3 @@ def quantum_variance(basis, a):
         total += float((np.abs(np.einsum("q,gqt->gt", coef, moments)) ** 2).sum())
     return total / expected
 
-
-def evaluate_on_grid(psi, G):
-    """psi sampled on the uniform G x G grid x = 2pi j / G (needs G > 2 sqrt(m))."""
-    if G <= 2 * math.isqrt(psi.shell.radius_squared):
-        raise ValueError("grid too coarse for the shell")
-    spec = np.zeros((G, G), dtype=complex)
-    for (k1, k2), c in zip(psi.shell.vectors, psi.amplitudes):
-        spec[k1 % G, k2 % G] += c
-    return np.fft.ifft2(spec) * G * G

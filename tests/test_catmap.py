@@ -248,6 +248,50 @@ def test_period_phases_are_eighth_roots():
             assert N % 2 == 0, N
 
 
+def _oracle_phase(N, t):
+    # the integer oracle of the period table of A: at t = the classical
+    # period mod N, U^t is zeta8^k I with k = 3t(1 - N) + 4 [N = 4 mod 8 and
+    # t odd] mod 8. The 3 counts the J in A's word, and zeta8^(1 - N) is the
+    # shear's normalized Gauss sum; the sign rule at N = 4 mod 8 is measured,
+    # not derived.
+    k = 3 * t * (1 - N) + 4 * (N % 8 == 4 and t % 2 == 1)
+    return cmath.exp(1j * math.pi * (k % 8) / 4)
+
+
+def test_dense_period_matches_the_integer_oracle():
+    for N in range(1, 129):
+        rec = catmap.quantum_period(catmap.QuantizedCatMap(A, N))
+        t = catmap.classical_period_mod(A, N)
+        assert rec["period"] == t, N
+        assert abs(rec["phase"] - _oracle_phase(N, t)) < 1e-8, N
+
+
+def test_matrix_free_period_matches_the_integer_oracle():
+    for N in catmap.FNDB_ADMISSIBLE_LARGE:
+        t, phase = catmap._matrix_free_period(catmap.QuantizedCatMap(A, N))
+        assert t == catmap.classical_period_mod(A, N), N
+        assert abs(phase - _oracle_phase(N, t)) < 1e-8, N
+
+
+@pytest.mark.parametrize("cat, n_j", [
+    (catmap.CatMap(5, 2, 2, 1), 4),
+    (catmap.CatMap(3, 1, 2, 1), 2),
+    (catmap.CatMap(2, 3, 1, 2), 3),
+    (catmap.CatMap(7, 2, 3, 1), 4),
+])
+def test_odd_n_power_is_the_weil_scalar(cat, n_j):
+    # at odd N the shears are those of the Weil representation of SL2(Z/N),
+    # a true representation (Kurlberg-Rudnick, Duke Math. J. 103, 2000), so
+    # U^t at the classical period t is one Gauss-sum phase per J of the word
+    for N in range(1, 64, 2):
+        Q = catmap.QuantizedCatMap(cat, N)
+        assert sum(g == "J" for g, _ in Q.word) == n_j
+        t = catmap.classical_period_mod(cat, N)
+        zeta = cmath.exp(1j * math.pi * (n_j * t * (1 - N) % 8) / 4)
+        P = np.linalg.matrix_power(Q.U, t)
+        assert np.abs(P - zeta * np.eye(N)).max() < 1e-8, N
+
+
 def _parity_basis(N):
     # slow reference: the orthonormal parity bases, entry by entry
     even, odd = [], []
@@ -400,25 +444,16 @@ def test_dense_u_and_partitions_need_no_parity_blocks(monkeypatch):
 
 
 def test_coherent_state_shape():
-    s = catmap.coherent_state(100, 0.3, 0.7)
+    s = catmap.TorusPhaseState(100, catmap._coherent_array(100, 0.3, 0.7))
     assert s.N == 100
     assert int(np.argmax(np.abs(s.amplitudes))) == 30
-    with pytest.raises(ValueError):
-        catmap.coherent_state(100, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        catmap.coherent_state(100, 0.0, -0.1)
-    with pytest.raises(ValueError):
-        catmap.coherent_state(100, 0.0, 0.0, squeeze=0.0)
-    for N in (0, -1):
-        with pytest.raises(ValueError, match="need N >= 1"):
-            catmap.coherent_state(N, 0.3, 0.7)
     # distant centers are nearly orthogonal
-    t = catmap.coherent_state(100, 0.8, 0.2)
+    t = catmap.TorusPhaseState(100, catmap._coherent_array(100, 0.8, 0.2))
     assert abs(np.vdot(s.amplitudes, t.amplitudes)) < 1e-10
 
 
 def test_husimi_normalization_and_ball_mass():
-    s = catmap.coherent_state(100, 0.3, 0.7)
+    s = catmap.TorusPhaseState(100, catmap._coherent_array(100, 0.3, 0.7))
     H = catmap.husimi(s, 64)
     assert H.shape == (64, 64) and (H >= 0.0).all()
     assert abs(H.sum() / 64**2 - 1.0) < 1e-10

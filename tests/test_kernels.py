@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from semiclab import _kernels, catmap, dynamics, experiments, lattice, sphere, torus
+from slow_references import density_moment
 
 A = catmap.CatMap(2, 1, 1, 1)
 
@@ -198,7 +199,7 @@ def test_l4_moment_sums_against_density_moments():
         assert np.allclose(X, (np.abs(C) ** 2).sum(axis=1), rtol=1e-14, atol=0)
         for b in range(len(C)):
             psi = torus.TorusEigenfunction(shell, C[b])
-            direct = sum(abs(torus.density_moment(psi, p)) ** 2 for p in diffs)
+            direct = sum(abs(density_moment(psi, p)) ** 2 for p in diffs)
             assert abs(got[b] - direct) <= 1e-14 * direct, (m, b)
             assert got[b] <= 3.0 * X[b] ** 2
         assert abs((C[2] * C[2, ::-1]).sum()) == pytest.approx(X[2], rel=1e-14)
@@ -233,7 +234,7 @@ def test_coherent_state_against_period_sum():
     rng = np.random.default_rng(12)
     for N, squeeze in itertools.product((1, 2, 3, 18, 101, 504, 2898), (0.5, 1.0, 2.0)):
         for x0, xi0 in rng.random((8, 2)):
-            got = catmap.coherent_state(N, x0, xi0, squeeze).amplitudes
+            got = catmap._coherent_array(N, x0, xi0, squeeze)
             ref = _coherent_reference(N, x0, xi0, squeeze)
             assert np.abs(got - ref).max() < 1e-12, (N, squeeze, x0, xi0)
 
@@ -280,6 +281,28 @@ def test_standard_normal_is_drawn_only_in_ginibre():
         visit(ast.parse(path.read_text(encoding="utf-8")), (path.name,))
     # the real and the imaginary half of the fill
     assert found == [("_kernels.py", "_ginibre")] * 2, found
+
+
+def _defined_names(path):
+    # the functions, classes and assigned names at the top level of a module
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_slow_references_have_one_copy():
+    # the slow references live in the tests only: no name they define is
+    # defined again by a module of the package
+    refs = _defined_names(pathlib.Path(__file__).with_name("slow_references.py"))
+    assert refs
+    src = pathlib.Path(_kernels.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert not refs & _defined_names(path), (path.name, sorted(refs & _defined_names(path)))
 
 
 def test_haar_unitary_scales_the_fill_bitwise():

