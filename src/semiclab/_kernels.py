@@ -3,10 +3,10 @@
 `bowen_masses` takes Bowen-ball candidates from the 3 x 3 neighbouring cells
 of a grid of cells at least eps wide and filters them step by step, and
 `l4_moment_sums` evaluates the same-midpoint chord identity in O(s) per
-state. `_gaussian_window` is the one truncation of the periodized Gaussian,
-cut at exp(-40): `catmap._coherent_array` folds it onto Z/N, and
-`husimi_grid` forms each grid row's overlaps on it, with the exact aliased
-norm. `_ginibre` is the one complex Gaussian fill, and `_haar_unitary`, the
+state. `_gaussian_window` is the one truncation of the periodized Gaussian
+exp(-pi (n - c)^2 / N), cut at exp(-40): `catmap._coherent_array` folds it
+onto Z/N, and `husimi_grid` forms each grid row's overlaps on it, with the
+exact aliased norm. `_ginibre` is the one complex Gaussian fill, and `_haar_unitary`, the
 one Haar draw on U(d), takes its QR behind the random torus-shell bases and
 the trials of `sphere.concentration_experiment`.
 """
@@ -110,24 +110,24 @@ def l4_moment_sums(C):
 
 # ------------------------------------------ Gaussian windows and Husimi grids
 
-# Gaussian terms exp(-pi N squeeze u^2) below exp(-_CUTOFF) are dropped.
+# Gaussian terms exp(-pi N u^2) below exp(-_CUTOFF) are dropped.
 _CUTOFF = 40.0
 
 
-def _gaussian_window(N, c, squeeze):
+def _gaussian_window(N, c):
     """Unwrapped sites n = ceil(c) - K .. ceil(c) + K and their weights
-    exp(-pi squeeze (n - c)^2 / N), K = ceil(sqrt(_CUTOFF N / (pi squeeze))):
+    exp(-pi (n - c)^2 / N), K = ceil(sqrt(_CUTOFF N / pi)):
     every term left out is below exp(-_CUTOFF). c is a scalar or an array
     of centers, one row each.
     """
-    K = int(math.ceil(N * math.sqrt(_CUTOFF / (math.pi * N * squeeze))))
+    K = int(math.ceil(N * math.sqrt(_CUTOFF / (math.pi * N))))
     c = np.asarray(c, dtype=float)
     n = np.ceil(c).astype(np.int64)[..., None] - K + np.arange(2 * K + 1)
-    g = np.exp(-math.pi * squeeze / N * (n - c[..., None]) ** 2)
+    g = np.exp(-math.pi / N * (n - c[..., None]) ** 2)
     return n, g
 
 
-def husimi_grid(state, G, squeeze=1.0):
+def husimi_grid(state, G):
     """|<coherent(x_a, xi_b) | state>|^2 on cell centers; rows index x.
 
     Row a sees only its Gaussian window about c_a = N x_a: an (G, L) gather
@@ -141,7 +141,7 @@ def husimi_grid(state, G, squeeze=1.0):
     """
     N = len(state)
     grid = (np.arange(G) + 0.5) / G
-    n, g = _gaussian_window(N, N * grid, squeeze)                    # (G, L)
+    n, g = _gaussian_window(N, N * grid)                             # (G, L)
     L = n.shape[1]
     ovl = (g * state[n % N]) @ np.exp(-2j * math.pi * np.outer(np.arange(L), grid))
     ks = np.arange(-((L - 1) // N), (L - 1) // N + 1)

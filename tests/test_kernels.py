@@ -216,15 +216,15 @@ def test_l4_moment_sums_zero_shell():
     assert X[0] == pytest.approx(0.25, rel=1e-15)
 
 
-def _coherent_reference(N, x0, xi0, squeeze):
+def _coherent_reference(N, x0, xi0):
     # the theta sum over whole periods: 2W + 1 copies of the Gaussian on the
     # N sites, with W two periods beyond the exp(-40) reach
     u = np.arange(N) / N - x0
-    W = int(math.ceil(math.sqrt(40.0 / (math.pi * N * squeeze)))) + 2
+    W = int(math.ceil(math.sqrt(40.0 / (math.pi * N)))) + 2
     psi = np.zeros(N, dtype=complex)
     for w in range(-W, W + 1):
         v = u - w
-        psi += np.exp(-math.pi * N * squeeze * v * v + 2j * math.pi * N * xi0 * v)
+        psi += np.exp(-math.pi * N * v * v + 2j * math.pi * N * xi0 * v)
     return psi / np.linalg.norm(psi)
 
 
@@ -232,11 +232,11 @@ def test_coherent_state_against_period_sum():
     # folding the Gaussian window onto Z/N, against the sum over periods; the
     # window is longer than N up to N = 18 and shorter from N = 101 on
     rng = np.random.default_rng(12)
-    for N, squeeze in itertools.product((1, 2, 3, 18, 101, 504, 2898), (0.5, 1.0, 2.0)):
+    for N in (1, 2, 3, 18, 101, 504, 2898):
         for x0, xi0 in rng.random((8, 2)):
-            got = catmap._coherent_array(N, x0, xi0, squeeze)
-            ref = _coherent_reference(N, x0, xi0, squeeze)
-            assert np.abs(got - ref).max() < 1e-12, (N, squeeze, x0, xi0)
+            got = catmap._coherent_array(N, x0, xi0)
+            ref = _coherent_reference(N, x0, xi0)
+            assert np.abs(got - ref).max() < 1e-12, (N, x0, xi0)
 
 
 def test_ginibre_fill_is_the_sum_of_two_draws():
@@ -342,10 +342,10 @@ def test_haar_unitary_is_the_one_draw():
     assert rec["sup_deviations"] == want
 
 
-def _husimi_bank(N, G, squeeze):
+def _husimi_bank(N, G):
     # conjugated coherent states at the cell centers, cell (a, b) in row a*G + b
     return np.array([
-        _coherent_reference(N, (a + 0.5) / G, (b + 0.5) / G, squeeze)
+        _coherent_reference(N, (a + 0.5) / G, (b + 0.5) / G)
         for a in range(G)
         for b in range(G)
     ]).conj()
@@ -362,16 +362,16 @@ def test_husimi_grid_numpy_against_coherent_bank():
     # puts the row centers N x_a off the integers.
     G = 13
     rng = np.random.default_rng(5)
-    for N, squeeze in itertools.product((2, 18, 101, 504), (0.5, 1.0, 2.0)):
-        bank = _husimi_bank(N, G, squeeze)
+    for N in (2, 18, 101, 504):
+        bank = _husimi_bank(N, G)
         states = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
         states /= np.linalg.norm(states, axis=0)
         if N == 18:
             states[:, 0] = catmap.scarred_state(A, 18).amplitudes
         oracle = _husimi_oracle(bank, states, G)
         for j in range(states.shape[1]):
-            got = _kernels.husimi_grid(states[:, j], G, squeeze)
-            assert np.abs(got - oracle[j]).max() < 1e-12, (N, squeeze, j)
+            got = _kernels.husimi_grid(states[:, j], G)
+            assert np.abs(got - oracle[j]).max() < 1e-12, (N, j)
         # a state on one site n0 sees each Gaussian term alone: every cell
         # whose term at n0 is above the exp(-40) cut-off, with the other
         # periodic images negligible beside it, agrees to roundoff relative
@@ -379,9 +379,9 @@ def test_husimi_grid_numpy_against_coherent_bank():
         oracle = _husimi_oracle(bank, np.eye(N), G)
         c = N * (np.arange(G) + 0.5) / G
         for n0 in range(N):
-            got = _kernels.husimi_grid(np.eye(N)[n0].astype(complex), G, squeeze)
+            got = _kernels.husimi_grid(np.eye(N)[n0].astype(complex), G)
             dist = np.abs((n0 - c + N / 2) % N - N / 2)
-            near, far = (np.exp(-math.pi * squeeze * d**2 / N) for d in (dist, N - dist))
+            near, far = (np.exp(-math.pi * d**2 / N) for d in (dist, N - dist))
             kept = (near >= math.exp(-40.0)) & (far < 1e-12 * near)
             rel = np.abs(got - oracle[n0])[kept] / oracle[n0][kept]
-            assert rel.max(initial=0.0) < 1e-10, (N, squeeze, n0)
+            assert rel.max(initial=0.0) < 1e-10, (N, n0)

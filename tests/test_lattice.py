@@ -107,8 +107,9 @@ def test_count_in_ball_dimensions():
     assert lattice.count_in_ball(2.0, 3) == sum(
         len(lattice.enumerate_shell(m, 3)) for m in range(5)
     )
-    with pytest.raises(ValueError):
-        lattice.count_in_ball(-1.0, 2)
+    for R in (-1.0, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"need finite R >= 0: R={R!r}"):
+            lattice.count_in_ball(R, 2)
 
 
 def test_pair_degeneracy_counts():

@@ -52,6 +52,15 @@ def test_leading_terms():
         spectra.weyl_leading_term(torus, 0.0)
 
 
+def test_counting_rejects_non_finite_lam():
+    for model in (spectra.SpectrumModel("torus-n", 2), spectra.SpectrumModel("sphere-2")):
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"need finite lam >= 0: lam={lam!r}"):
+                spectra.counting_function(model, lam)
+            with pytest.raises(ValueError, match=f"need finite lam > 0: lam={lam!r}"):
+                spectra.weyl_leading_term(model, lam)
+
+
 def test_remainder_regression_constants():
     # |count - leading| <= C * lam on a half-integer grid up to 500; the
     # maxima are exact integer computations, pinned with small slack

@@ -150,15 +150,26 @@ def test_egorov_invariance_is_exact():
 
 
 def test_flow_profile_generic_phase():
-    # off-shell evaluation of a flowed profile picks up e^{i t p.xi}
-    prof = torus.exponential_symbol((2, 3)).terms[(2, 3)]
-    flowed = torus.egorov_conjugate(torus.exponential_symbol((2, 3)), 1.5)
-    fp = flowed.terms[(2, 3)]
-    mid = np.array([1.0, -2.0])
-    hbar = 0.2
-    expected = cmath.exp(1j * 1.5 * hbar * float(np.dot([2, 3], mid)))
-    assert torus._eval_profile(fp, mid, hbar) == pytest.approx(expected, abs=1e-15)
-    assert torus._eval_profile(prof, mid, hbar) == 1.0
+    # off-shell pairs of a flowed symbol pick up e^{i t hbar p.mid}: (0, 0)
+    # and (1, 0) lie on different circles, so p = (1, 0) has p.mid = 1/2
+    shell = lattice.LatticeShell(2, 1, ((0, 0), (1, 0)))
+    c = np.array([0.6 + 0.0j, 0.0 + 0.8j]) / TWO_PI
+    psi = torus.TorusEigenfunction(shell, c)
+    sym = torus.exponential_symbol((1, 0))
+    plain = TWO_PI**2 * np.conj(c[1]) * c[0]
+    assert torus.wigner(psi, sym) == pytest.approx(plain, abs=1e-15)
+    flowed = torus.egorov_conjugate(sym, 1.5)
+    expected = plain * cmath.exp(1j * 1.5 * psi.hbar / 2)
+    assert torus.wigner(psi, flowed) == pytest.approx(expected, abs=1e-15)
+    # flows compose by adding their times
+    twice = torus.egorov_conjugate(torus.egorov_conjugate(sym, 0.5), 1.0)
+    assert twice.t == 1.5
+    assert torus.wigner(psi, twice) == torus.wigner(psi, flowed)
+    # a flowed constant is not x-only
+    flowed_constant = torus.egorov_conjugate(torus.TorusSymbol({(0, 0): 1.0 + 0j}), 1.0)
+    assert not flowed_constant.is_x_only()
+    with pytest.raises(ValueError, match="x-only"):
+        torus.quantum_variance([psi], flowed_constant)
 
 
 def test_quantum_variance_cross_check():
