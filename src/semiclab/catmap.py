@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semiclab import _kernels
-from semiclab._errors import NumericalSignal
+from semiclab._errors import NumericalSignal, check_integer
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class CatMap:
     d: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            check_integer(name, getattr(self, name))
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("determinant must be exactly 1")
 
@@ -65,6 +67,7 @@ class QuantizedCatMap:
     word: tuple = field(init=False)
 
     def __post_init__(self):
+        check_integer("N", self.N)
         if not self.cat.is_hyperbolic():
             raise NumericalSignal("non-hyperbolic", f"trace {self.cat.trace}")
         if self.N < 1:
@@ -120,12 +123,9 @@ def _word_product(word, F, diag):
 
 @dataclass(frozen=True)
 class TorusPhaseState:
-    N: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if len(self.amplitudes) != self.N:
-            raise ValueError("amplitude vector has wrong length")
         if not np.isfinite(self.amplitudes).all():
             raise ValueError("amplitudes must be finite")
         if abs(float((np.abs(self.amplitudes) ** 2).sum()) - 1.0) > 1e-12:
@@ -433,7 +433,7 @@ def scar_record(A, N):
     eig_adj = cmath.exp(2j * math.pi * r / Tq)
     residual = float(np.linalg.norm(adj * apply_propagator(Q, proj) - eig_adj * proj))
     return {
-        "state": TorusPhaseState(N, proj),
+        "state": TorusPhaseState(proj),
         "period": Tq,
         "period_phase": complex(phase),
         "eigenphase": complex(np.conj(adj) * eig_adj),
@@ -561,7 +561,7 @@ def eigensystem(Q):
     mod = np.abs(V)
     lead = V[np.argmax(mod >= mod.max(axis=0) - 1e-10, axis=0), np.arange(N)]
     V = V * (lead.conj() / np.abs(lead)) / np.linalg.norm(V, axis=0)
-    return [(complex(ph[i]), TorusPhaseState(N, V[:, i].copy())) for i in range(N)]
+    return [(complex(ph[i]), TorusPhaseState(V[:, i].copy())) for i in range(N)]
 
 
 def smooth_half_cutoff(N, width=0.1):

@@ -354,15 +354,15 @@ def _projection_is_exact(L, trials, seed):
 def _run_weinstein(cfg):
     exact = _projection_is_exact(cfg["L"], cfg["trials"], cfg["seed"])
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4)
+    lo, hi = sphere.radon_range(V)
     rows = []
     dhs = []
     band_ok = False
     for l in cfg["band_ls"]:
-        rec = sphere.band_spectrum_vs_radon(V, l)
-        eigs = rec["band_eigenvalues"]
-        lo, hi = rec["radon_range"]
-        dhs.append(rec["hausdorff"])
-        rows.append((l, float(eigs.min()), float(eigs.max()), lo, hi, rec["hausdorff"]))
+        eigs = np.linalg.eigvalsh(sphere.band_compression(V, l))
+        dh = sphere.hausdorff_to_interval(eigs, lo, hi)
+        dhs.append(dh)
+        rows.append((l, float(eigs.min()), float(eigs.max()), lo, hi, dh))
         if l == cfg["band_check_l"]:
             band_ok = bool(
                 eigs.min() >= lo - 3.0 / l and eigs.max() <= hi + 3.0 / l
@@ -494,7 +494,7 @@ def _run_pressure(cfg):
 
     A = standard_map()
     chi = A.lyapunov_exponent()
-    orbit = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),), 1)
+    orbit = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),))
     p_half = dynamics.pressure_periodic_orbit(orbit, 0.5)
     fp_err = abs(p_half - (-chi / 2.0))
     root_orbit = dynamics.bowen_root(

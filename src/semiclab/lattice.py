@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from semiclab._errors import check_integer
+
 
 @dataclass(frozen=True)
 class LatticeShell:
@@ -51,6 +53,8 @@ def _shell_vectors(m, n):
 
 def enumerate_shell(m, n):
     """Exhaustive shell of squared radius m in Z^n, lexicographically sorted."""
+    check_integer("m", m)
+    check_integer("n", n)
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     return LatticeShell(n, m, tuple(sorted(_shell_vectors(m, n))))
@@ -95,6 +99,7 @@ def _count_leq(s, n):
 
 def count_in_ball(R, n):
     """Exact number of integer vectors with |v| <= R (R real, compared exactly)."""
+    check_integer("n", n)
     if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"need finite R >= 0: R={R!r}")
     # Fraction(R) is exact for float input, so the boundary |v|^2 = R^2 is

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from semiclab._errors import check_integer
 from semiclab.lattice import count_in_ball
 
 
@@ -18,6 +19,7 @@ class SpectrumModel:
     def __post_init__(self):
         if self.tag not in ("torus-n", "sphere-2"):
             raise ValueError(f"unknown model tag {self.tag!r}")
+        check_integer("dimension", self.dimension)
         if self.tag == "sphere-2" and self.dimension != 2:
             raise ValueError("sphere-2 is two-dimensional")
         if self.dimension < 1:
@@ -30,13 +32,8 @@ def counting_function(model, lam):
         raise ValueError(f"need finite lam >= 0: lam={lam!r}")
     if model.tag == "torus-n":
         return count_in_ball(lam, model.dimension)
-    # sphere: largest L with L(L+1) <= lam^2, compared exactly; count is (L+1)^2
-    lam2 = Fraction(lam) ** 2
-    L = int(math.isqrt(math.floor(lam2)))
-    while (L + 1) * (L + 2) <= lam2:
-        L += 1
-    while L * (L + 1) > lam2:
-        L -= 1
+    # sphere: largest L with L(L+1) <= floor(lam^2) = n, i.e. (2L+1)^2 <= 4n+1; count (L+1)^2
+    L = (math.isqrt(4 * math.floor(Fraction(lam) ** 2) + 1) - 1) // 2
     return (L + 1) ** 2
 
 

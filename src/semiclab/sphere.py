@@ -318,6 +318,9 @@ def hausdorff_to_interval(points, lo, hi):
     pts = np.sort(np.asarray(points, dtype=float))
     if len(pts) == 0:
         raise ValueError("empty point set")
+    # NaN fails every comparison below, so it would drop out unseen
+    if not (np.isfinite(pts).all() and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("points and interval ends must be finite")
     if hi < lo:
         raise ValueError("empty interval")
     d1 = max(lo - pts[0], pts[-1] - hi, 0.0)
@@ -328,19 +331,6 @@ def hausdorff_to_interval(points, lo, hi):
             cands.append(m)
     d2 = max(float(np.abs(pts - y).min()) for y in cands)
     return max(d1, d2)
-
-
-def band_spectrum_vs_radon(V, l):
-    """Eigenvalues of the band compression of V against the Radon range."""
-    M = band_compression(V, l)
-    eigs = np.sort(np.linalg.eigvalsh(M))
-    lo, hi = radon_range(V)
-    return {
-        "l": l,
-        "band_eigenvalues": eigs,
-        "radon_range": (lo, hi),
-        "hausdorff": hausdorff_to_interval(eigs, lo, hi),
-    }
 
 
 def zonal_from_polynomial(a, L):

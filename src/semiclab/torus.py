@@ -31,6 +31,10 @@ class TorusEigenfunction:
     shell: LatticeShell
     amplitudes: np.ndarray
 
+    def __post_init__(self):
+        if len(self.amplitudes) != len(self.shell):
+            raise ValueError(f"{len(self.amplitudes)} amplitudes for a shell of {len(self.shell)}")
+
     @property
     def dimension(self):
         return self.shell.dimension

@@ -43,15 +43,13 @@ def test_lyapunov_exponent():
 def test_torus_phase_state_validation():
     v = np.zeros(5, dtype=complex)
     v[0] = 1.0
-    catmap.TorusPhaseState(5, v)
-    with pytest.raises(ValueError, match="wrong length"):
-        catmap.TorusPhaseState(4, v)
+    catmap.TorusPhaseState(v)
     with pytest.raises(ValueError, match="unit norm"):
-        catmap.TorusPhaseState(5, 2.0 * v)
+        catmap.TorusPhaseState(2.0 * v)
     nan = v.copy()
     nan[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        catmap.TorusPhaseState(5, nan)
+        catmap.TorusPhaseState(nan)
 
 
 def test_translation_unitary():
@@ -444,16 +442,15 @@ def test_dense_u_and_partitions_need_no_parity_blocks(monkeypatch):
 
 
 def test_coherent_state_shape():
-    s = catmap.TorusPhaseState(100, catmap._coherent_array(100, 0.3, 0.7))
-    assert s.N == 100
+    s = catmap.TorusPhaseState(catmap._coherent_array(100, 0.3, 0.7))
     assert int(np.argmax(np.abs(s.amplitudes))) == 30
     # distant centers are nearly orthogonal
-    t = catmap.TorusPhaseState(100, catmap._coherent_array(100, 0.8, 0.2))
+    t = catmap.TorusPhaseState(catmap._coherent_array(100, 0.8, 0.2))
     assert abs(np.vdot(s.amplitudes, t.amplitudes)) < 1e-10
 
 
 def test_husimi_normalization_and_ball_mass():
-    s = catmap.TorusPhaseState(100, catmap._coherent_array(100, 0.3, 0.7))
+    s = catmap.TorusPhaseState(catmap._coherent_array(100, 0.3, 0.7))
     H = catmap.husimi(s, 64)
     assert H.shape == (64, 64) and (H >= 0.0).all()
     assert abs(H.sum() / 64**2 - 1.0) < 1e-10

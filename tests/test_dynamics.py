@@ -43,6 +43,13 @@ def test_uniform_measure_seeded():
     assert mu.points.shape == (50, 2)
 
 
+def test_empty_measure_rejected():
+    with pytest.raises(ValueError, match="n_points >= 1"):
+        dynamics.uniform_measure(0, 9)
+    with pytest.raises(ValueError, match="empty measure"):
+        dynamics.EmpiricalMeasure(np.zeros((0, 2)), np.zeros(0))
+
+
 def test_orbit_array_periodicity():
     # the period-2 rational orbit closes up exactly in floating point
     pts = np.array([[0.8, 0.6], [0.2, 0.4]])
@@ -89,6 +96,38 @@ def test_ks_entropy_atomic_measure_is_zero():
     assert abs(dynamics.ks_entropy_estimate(mu, A, 0.05, 12)) < 1e-12
 
 
+def _half_zero_measure():
+    # every other point carries no weight, so a base drawn by the cumulative
+    # weights must skip it
+    w = np.zeros(2000)
+    w[1::2] = 1.0 / 1000
+    return dynamics.EmpiricalMeasure(dynamics.uniform_measure(2000, 5).points, w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dynamics.uniform_measure(20000, 17),
+    lambda: experiments.mixture_measure(5000, 17),
+    lambda: dynamics.EmpiricalMeasure(np.zeros((1000, 2)), np.full(1000, 1e-3)),
+    _half_zero_measure,
+], ids=["uniform", "mixture", "fixed-point", "half-zero"])
+def test_every_bowen_ball_holds_its_base(monkeypatch, make):
+    # why ks_entropy_estimate takes the log of every mass unguarded: each
+    # resampled base has positive weight and lies in its own ball
+    seen = []
+    bowen_masses = _kernels.bowen_masses
+
+    def spy(orbits, weights, base_idx, eps):
+        seen.append((weights[base_idx], bowen_masses(orbits, weights, base_idx, eps)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_kernels, "bowen_masses", spy)
+    dynamics.ks_entropy_estimate(make(), A, 0.05, 12)
+    ((base_weights, masses),) = seen
+    assert len(masses) == 256
+    assert (base_weights > 0).all()
+    assert (masses >= base_weights).all()
+
+
 def test_check_10_uniform_balls_hold_only_their_base(monkeypatch):
     # a diagnosis, not a check: at entropy-oracle's default config almost
     # every uniform Bowen ball holds only its base point (254 of 256 when
@@ -114,7 +153,7 @@ def test_check_10_uniform_balls_hold_only_their_base(monkeypatch):
 
 
 def test_pressure_fixed_point():
-    gamma = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),), 1)
+    gamma = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),))
     assert dynamics.pressure_periodic_orbit(gamma, 0.0) == 0.0
     assert abs(dynamics.pressure_periodic_orbit(gamma, 0.5) - (-0.5 * CHI)) < 1e-14
     assert abs(dynamics.pressure_periodic_orbit(gamma, 1.0) - (-CHI)) < 1e-14
@@ -124,17 +163,16 @@ def test_pressure_fixed_point():
 
 def test_pressure_period_two_orbit():
     orbit = ((Fraction(4, 5), Fraction(3, 5)), (Fraction(1, 5), Fraction(2, 5)))
-    gamma = dynamics.PeriodicOrbit(A, orbit, 2)
+    gamma = dynamics.PeriodicOrbit(A, orbit)
     assert abs(dynamics.pressure_periodic_orbit(gamma, 1.0) - (-CHI)) < 1e-14
 
 
 def test_pressure_rejects_non_orbits():
-    bad = dynamics.PeriodicOrbit(A, ((Fraction(1, 2), Fraction(0)),), 1)
+    bad = dynamics.PeriodicOrbit(A, ((Fraction(1, 2), Fraction(0)),))
     with pytest.raises(NumericalSignal, match="non-periodic"):
         dynamics.pressure_periodic_orbit(bad, 0.5)
-    short = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),), 2)
     with pytest.raises(NumericalSignal, match="non-periodic"):
-        dynamics.pressure_periodic_orbit(short, 0.5)
+        dynamics.pressure_periodic_orbit(dynamics.PeriodicOrbit(A, ()), 0.5)
 
 
 def test_bowen_root():
@@ -149,7 +187,7 @@ def test_bowen_root():
 
 
 def test_bowen_root_of_orbit_pressure():
-    gamma = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),), 1)
+    gamma = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),))
 
     def shifted(s):
         return dynamics.pressure_periodic_orbit(gamma, s) + 0.5 * CHI

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import experiments, lattice
+from semiclab import catmap, experiments, lattice, spectra
 from semiclab._errors import NumericalSignal
 from slow_references import pair_degeneracy
 
@@ -229,3 +229,25 @@ def test_arc_counts_on_arc_ends_match_full_scan():
                 lo = cross_product_arc_count(shell, theta, 2 * half - 2e-9)
                 hi = cross_product_arc_count(shell, theta, 2 * half + 2e-9)
                 assert lo <= got <= hi, (m, half, theta)
+
+
+def test_integer_arguments_checked_where_they_enter():
+    # a float used to pass the determinant check and fail later as no-period,
+    # fail inside numpy, or recurse until RecursionError; True counted as n = 1
+    A = catmap.CatMap(2, 1, 1, 1)
+    cases = [
+        (lambda: catmap.CatMap(0.5, 0, 0, 2), "a=0.5"),
+        (lambda: catmap.QuantizedCatMap(A, 55.0), "N=55.0"),
+        (lambda: lattice.enumerate_shell(5, 2.5), "n=2.5"),
+        (lambda: lattice.enumerate_shell(5.0, 2), "m=5.0"),
+        (lambda: lattice.count_in_ball(3.0, 2.5), "n=2.5"),
+        (lambda: lattice.count_in_ball(3.0, True), "n=True"),
+        (lambda: spectra.SpectrumModel("torus-n", 2.5), "dimension=2.5"),
+    ]
+    for call, named in cases:
+        with pytest.raises(ValueError, match=f"must be an integer: {named}"):
+            call()
+    # numpy integers are integers
+    assert lattice.count_in_ball(3.0, np.int64(2)) == lattice.count_in_ball(3.0, 2) == 29
+    assert catmap.QuantizedCatMap(catmap.CatMap(*np.int64([2, 1, 1, 1])), np.int32(55)).N == 55
+    assert len(lattice.enumerate_shell(np.int64(25), np.int64(2))) == 12

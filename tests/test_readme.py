@@ -8,7 +8,9 @@ function, class or assignment reaches every name its definition mentions,
 either bare in its own module (or imported into it from a semiclab module)
 or as an attribute of an imported semiclab module. Every public top-level
 name of the layer modules must be reached, or be listed under README's
-"Kept though unreached" with the reason it stays.
+"Kept though unreached" with the reason it stays. Every private top-level
+name of the layer modules and `experiments` must be reached from a path or
+from a kept name, so a helper that a deletion orphans fails the suite.
 """
 
 import ast
@@ -71,7 +73,7 @@ def _mentions(node, module, defs, aliases):
 
 
 def unreached(modules, roots, layers):
-    """Public top-level (module, name) pairs of `layers` that no root reaches.
+    """Top-level (module, name) pairs of `layers` that no root reaches.
 
     modules maps a semiclab module name to its source; roots are sources run
     as a whole, or (module, name) pairs. Statements a module runs at import,
@@ -99,12 +101,7 @@ def unreached(modules, roots, layers):
         defs, aliases = parsed[key[0]]
         for stmt in defs.get(key[1], ()):
             todo.extend(_mentions(stmt, key[0], defs, aliases))
-    return sorted(
-        (m, name)
-        for m in layers
-        for name in parsed[m][0]
-        if not name.startswith("_") and (m, name) not in seen
-    )
+    return sorted((m, name) for m in layers for name in parsed[m][0] if (m, name) not in seen)
 
 
 def _readme_section(heading):
@@ -136,14 +133,23 @@ def test_quick_start_runs():
     assert catmap.quantum_period(ns["Q"])["period"] == 10
 
 
-def test_every_public_name_is_reached_or_kept_by_readme():
-    roots = [
+def _roots():
+    return [
         ("experiments", "REGISTRY"),
         ("cli", "main"),
         _quick_start(),
         (ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"),
     ]
-    assert unreached(_package(), roots, LAYERS) == _kept_names()
+
+
+def test_every_public_name_is_reached_or_kept_by_readme():
+    found = unreached(_package(), _roots(), LAYERS)
+    assert [(m, name) for m, name in found if not name.startswith("_")] == _kept_names()
+
+
+def test_every_private_helper_is_reached():
+    found = unreached(_package(), _roots() + _kept_names(), LAYERS + ("experiments",))
+    assert [(m, name) for m, name in found if name.startswith("_")] == []
 
 
 def test_checker_reports_an_unreached_name():
@@ -159,10 +165,11 @@ def test_checker_reports_an_unreached_name():
              "def shared():\n    return 2\n"
              "def at_import():\n    return 3\n"
              "def dead():\n    return at_import()\n"
+             "def _orphaned():\n    return 4\n"
              "SPARE = (1, 2)\n"
              "if __name__ == '__main__':\n    at_import()\n",
     }
     root = "from semiclab import a\nprint(a.used(2))\n"
-    want = [("a", "orphan"), ("b", "SPARE"), ("b", "dead")]
+    want = [("a", "orphan"), ("b", "SPARE"), ("b", "_orphaned"), ("b", "dead")]
     assert unreached(modules, [root], ("a", "b")) == want
     assert unreached(modules, [root, ("a", "orphan")], ("a", "b")) == want[1:]

@@ -326,13 +326,20 @@ def test_radon_flow_conserves_energy():
 
 def test_band_spectrum_vs_radon_record():
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4)
-    rec = sphere.band_spectrum_vs_radon(V, 10)
-    eigs = rec["band_eigenvalues"]
+    lo, hi = sphere.radon_range(V)
+    eigs = np.linalg.eigvalsh(sphere.band_compression(V, 10))
     assert np.all(np.diff(eigs) >= 0.0)
     assert np.abs(np.sort(alpha_cos2(10)) - eigs).max() < 1e-12
-    lo, hi = rec["radon_range"]
     assert abs(lo) < 1e-12 and abs(hi - 0.5) < 1e-12
-    assert rec["hausdorff"] <= 3.0 / 10.0
+    assert sphere.hausdorff_to_interval(eigs, lo, hi) <= 3.0 / 10.0
+
+
+def test_hausdorff_to_interval_rejects_non_finite():
+    # a NaN point fails every comparison, so it used to drop out and give 0.0
+    for points, lo, hi in (([0.1, math.nan], 0.0, 1.0), ([0.1, math.inf], 0.0, 1.0),
+                           ([0.1], math.nan, 1.0), ([0.1], 0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            sphere.hausdorff_to_interval(points, lo, hi)
 
 
 def test_hausdorff_to_interval_hand_cases():

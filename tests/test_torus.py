@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import lattice, torus
+from semiclab import experiments, lattice, torus
 from semiclab._errors import NumericalSignal
 from slow_references import density_moment, evaluate_on_grid
 
@@ -13,6 +13,13 @@ TWO_PI = 2.0 * math.pi
 
 def shell25():
     return lattice.enumerate_shell(25, 2)
+
+
+def test_eigenfunction_amplitudes_match_the_shell():
+    # shell25 has 12 vectors; wigner would index past 11 or misread a longer vector
+    for n in (11, 13):
+        with pytest.raises(ValueError, match=f"{n} amplitudes for a shell of 12"):
+            torus.TorusEigenfunction(shell25(), np.ones(n, dtype=complex))
 
 
 def test_random_eigenfunction_normalized():
@@ -170,6 +177,33 @@ def test_flow_profile_generic_phase():
     assert not flowed_constant.is_x_only()
     with pytest.raises(ValueError, match="x-only"):
         torus.quantum_variance([psi], flowed_constant)
+
+
+def test_check_04_pairs_have_no_flow_phase(monkeypatch):
+    # a diagnosis, not a check: on a single-shell eigenfunction every pair
+    # (k, k + p) that wigner visits has |k + p|^2 = |k|^2, so p.mid =
+    # (|k + p|^2 - |k|^2) / 2 = 0 exactly and the flow phase is exactly 1;
+    # check 4 cannot see the phase, which test_flow_profile_generic_phase
+    # tests. A check 4 that reaches off-shell pairs fails this on purpose.
+    calls = []
+    wigner = torus.wigner
+
+    def spy(psi, a):
+        calls.append((psi, a))
+        return wigner(psi, a)
+
+    monkeypatch.setattr(torus, "wigner", spy)
+    assert experiments.run_experiment("torus-egorov")["pass"]
+    flowed_pairs = 0
+    for psi, a in calls:
+        idx = psi.shell.index()
+        for p in a.terms:
+            for k in psi.shell.vectors:
+                if tuple(ka + pa for ka, pa in zip(k, p)) in idx:
+                    mid = np.asarray(k, dtype=float) + np.asarray(p, dtype=float) / 2.0
+                    assert float(np.dot(p, mid)) == 0.0, (k, p)
+                    flowed_pairs += a.t != 0 and any(p)
+    assert flowed_pairs > 0
 
 
 def test_quantum_variance_cross_check():
