@@ -9,8 +9,9 @@ built as products of the quantized generators J (a DFT) and lower shears
 the shear well defined for both parities, so exact Egorov holds with no
 parity correction. The word is compiled once per (A, N) into a few numpy
 steps; the dense U is those steps applied to the identity. The period
-table's matrix powers run on the even and odd subspaces of the parity
-j -> -j mod N, with which every generator commutes.
+table's matrix powers run on the joint eigenspaces of the dilations
+j -> xj mod N, x odd with x^2 = 1 mod 2N, with which every generator
+commutes; the parity j -> -j mod N is one of them.
 """
 
 import cmath
@@ -59,8 +60,13 @@ class CatMap:
 class QuantizedCatMap:
     """U_N(A) as the checked generator word of A. Its compiled `steps` for
     `apply_propagator`, the dense U, those steps applied to the identity, and
-    `blocks`, U on the even and odd subspaces of the parity j -> -j mod N for
-    `quantum_period`, are each built once, on first use."""
+    `blocks` for `quantum_period`, are each built once, on first use.
+
+    `blocks` is U on the joint eigenspaces of the dilations j -> xj mod N
+    with x odd and x^2 = 1 mod 2N, which commute with every U_N(A): first
+    the even and odd subspaces of the parity x = -1, then, inside each, one
+    subspace per character of the other dilations. Which blocks there are
+    depends on N alone, and their sizes sum to N."""
 
     cat: CatMap
     N: int
@@ -83,24 +89,34 @@ class QuantizedCatMap:
 
     @functools.cached_property
     def blocks(self):
-        # The parity R: j -> -j mod N is U_N(-I), and -I is central in
-        # SL2(Z), so R commutes with every generator up to rounding. Each
-        # generator is folded once onto R's even and odd subspaces, with its
-        # parity-mixing part dropped after a check that it is roundoff, and
-        # the word's products run on the two blocks of about N/2 each.
+        # For odd x with x^2 = 1 mod 2N, xI is central in SL2(Z/2N), and the
+        # dilation j -> xj mod N commutes with the DFT (x^2 jk = jk mod N)
+        # and with every shear (x^2 j^2 = j^2 and xjN = jN mod 2N), so with
+        # U_N(A) for every A (Kurlberg-Rudnick). The parity x = -1 splits
+        # first: each generator is folded onto its even and odd subspaces.
+        # The other dilations act on each parity block as signed
+        # permutations, and each generator is folded again onto their
+        # characters' subspaces. The word's products run on the joint
+        # eigenspaces, and the parts dropped by both folds, which mix the
+        # subspaces, must be roundoff. Each parity block of the DFT, and its
+        # fold, is released once used, so the build peaks no higher than
+        # _fourier_blocks does.
         N = self.N
         *F, mixing = _fourier_blocks(N)
         diag = {c: _shear_diag(N, c) for g, c in self.word if g == "S"}
         mixing = max(mixing, *(_parity_mixing(d) for d in diag.values()))
-        if mixing > 1e-10:
-            raise NumericalSignal("parity-mixing", f"N={N}: a generator mixes parities by {mixing:.2e}")
         r = -np.arange(N) % N
         half = {c: 0.5 * (d + d[r]) for c, d in diag.items()}
-        parts = (slice(0, N // 2 + 1), slice(1, (N + 1) // 2))
-        return tuple(
-            _word_product(self.word, Fb, {c: h[part] for c, h in half.items()})
-            for Fb, part in zip(F, parts)
-        )
+        h = _dilations(N)
+        blocks = []
+        for start, parity in ((0, 1), (1, -1)):
+            pairs, mix = _character_fold(F.pop(0), half, *_signed_action(h, N, start, parity))
+            mixing = max(mixing, mix)
+            blocks += [_word_product(self.word, Fc, dc) for Fc, dc in pairs]
+            del pairs
+        if mixing > 1e-10:
+            raise NumericalSignal("parity-mixing", f"N={N}: a generator mixes the dilation blocks by {mixing:.2e}")
+        return tuple(blocks)
 
     @functools.cached_property
     def U(self):
@@ -134,9 +150,12 @@ class TorusPhaseState:
 
 def translation_operator(N, m):
     """Weyl-Heisenberg translation T(m) in the position basis."""
+    check_integer("N", N)
     if N < 1:
         raise ValueError("need N >= 1")
     m1, m2 = m
+    check_integer("m1", m1)
+    check_integer("m2", m2)
     j = np.arange(N)
     T = np.zeros((N, N), dtype=complex)
     pref = cmath.exp(-1j * math.pi * m1 * m2 / N)
@@ -184,6 +203,92 @@ def _fourier_blocks(N):
     a *= c[:, None]
     a *= c
     return a, odd, mixing
+
+
+def _dilations(N):
+    # the elements h_b, b < 2^m, of a complement H of the parity in the
+    # group {x mod N : x odd, x^2 = 1 mod 2N}: h_b is the product of the
+    # generators x_i whose bit 2^i is set in b. The group is elementary
+    # abelian, so each x outside H and -H doubles H.
+    odd = np.arange(1, 2 * N, 2)
+    h = [1 % N]
+    for x in sorted(set((odd[odd * odd % (2 * N) == 1] % N).tolist())):
+        if x not in h and -x % N not in h:
+            h += [x * y % N for y in h]
+    return np.array(h)
+
+
+def _signed_action(h, N, start, parity):
+    # each h_b on one parity block, whose position p holds the basis vector
+    # of index j = p + start, 0 <= j <= N/2 (even, start 0) or 0 < j < N/2
+    # (odd, start 1): h_b maps that vector to sign[b, p] times the vector at
+    # position idx[b, p]. The image y = h_b j mod N stands for its class
+    # {y, -y}, and on the odd block (e_y - e_-y)/sqrt2 is minus the vector
+    # of -y. Returns j, idx and sign.
+    j = np.arange(start, (N + 2 - start) // 2)
+    y = np.multiply.outer(h, j) % N
+    rep = np.minimum(y, N - y)
+    return j, rep - start, np.where(y == rep, 1.0, parity)
+
+
+def _walsh(X, axis):
+    # the unnormalized Walsh-Hadamard transform of a contiguous X in place,
+    # along an axis of length 2^m, one butterfly per bit: entry c becomes
+    # sum_b (-1)^popcount(b & c) X[b]
+    pre, q = math.prod(X.shape[:axis]), X.shape[axis]
+    step = 1
+    while step < q:
+        Y = X.reshape(pre, q // (2 * step), 2, step, -1)
+        a, b = Y[:, :, 0], Y[:, :, 1]
+        total = a + b
+        np.subtract(a, b, out=b)
+        a[...] = total
+        step *= 2
+    return X
+
+
+def _character_fold(B, diag, j, idx, sign):
+    # B, and each diagonal taken at the indices j, on one parity block,
+    # carried to the orthonormal basis of the vectors
+    # sum_b chi_c(h_b) sign[b, k] e_idx[b, k] / norm: one for each character
+    # chi_c(h_b) = (-1)^popcount(b & c) of H and each orbit representative k
+    # (the smallest position of its orbit) where that sum is nonzero,
+    # ordered by c, then k. Returns the pairs (block, diagonals) of the
+    # characters that have a vector, and the largest entry dropped: B
+    # between two characters, or a diagonal's spread about its mean over an
+    # orbit.
+    n = len(B)
+    reps = np.flatnonzero(idx.min(axis=0) == np.arange(n))
+    idx, sign = idx[:, reps], sign[:, reps]
+    q, K = idx.shape
+    # |vector|^2 = q sum over the stabilizer of k of chi_c(h_b) sign[b, k],
+    # which is 0 or q times the stabilizer's order; so each gathered entry
+    # is weighted by sign[b, k] / sqrt(q |stabilizer|), and the n vectors
+    # kept come out orthonormal
+    fixed = idx == idx[0]
+    keep = _walsh(sign * fixed, 0) > 0
+    kept = keep.reshape(-1)
+    flat = idx.reshape(-1)
+    weight = (sign / np.sqrt(q * fixed.sum(axis=0))).reshape(-1)
+    # the rows' sums, then the columns', each over the gathered orbits; each
+    # stage replaces X, so at most two of its generations are held
+    X = B.take(flat, axis=0)
+    X *= weight[:, None]
+    X = _walsh(X.reshape(q, K, n), 0).reshape(q * K, n).compress(kept, axis=0)
+    X = X.take(flat, axis=1)
+    X *= weight
+    X = _walsh(X.reshape(n, q, K), 1).reshape(n, q * K).compress(kept, axis=1)
+    orbits = {c: d[j][idx] for c, d in diag.items()}
+    means = {c: o.mean(axis=0) for c, o in orbits.items()}
+    dropped = [float(np.abs(o - means[c]).max(initial=0.0)) for c, o in orbits.items()]
+    pairs = []
+    sizes = keep.sum(axis=1)
+    ends = np.cumsum(sizes)
+    for c, (a, b) in enumerate(zip(ends - sizes, ends)):
+        dropped += [float(np.abs(X[a:b, :a]).max(initial=0.0)), float(np.abs(X[a:b, b:]).max(initial=0.0))]
+        if b > a:
+            pairs.append((X[a:b, a:b], {s: m[keep[c]] for s, m in means.items()}))
+    return pairs, max(dropped)
 
 
 def _shear_diag(N, c):
@@ -284,6 +389,7 @@ def apply_propagator(Q, v):
 
 def classical_period_mod(A, N):
     """Smallest t >= 1 with A^t = I mod N, by exact integer powers."""
+    check_integer("N", N)
     if N < 1:
         raise ValueError("need N >= 1")
     if N == 1:
@@ -325,12 +431,12 @@ def quantum_period(Q):
     Scalar times can only occur at multiples of the classical period mod N,
     so only those are tested. The record holds that classical period too.
 
-    The powers run on `Q.blocks`, U on the even and odd subspaces of the
-    parity j -> -j mod N, two blocks of about N/2 each, and the dense U is
-    never built: U^t is scalar exactly when both blocks are the same scalar
-    s, taken as (tr W+ + tr W-)/N. Building the blocks raises
-    NumericalSignal("parity-mixing") if a generator mixes the parities by
-    more than 1e-10.
+    The powers run on `Q.blocks`, U on the joint eigenspaces of the
+    dilations j -> xj mod N (x odd, x^2 = 1 mod 2N), the parity x = -1 among
+    them, and the dense U is never built: U^t is scalar exactly when every
+    block W_b is the same scalar s, taken as sum_b tr W_b / N. Building the
+    blocks raises NumericalSignal("parity-mixing") if a generator mixes
+    those eigenspaces by more than 1e-10.
     """
     N = Q.N
     t_cl = classical_period_mod(Q.cat, N)
@@ -339,7 +445,7 @@ def quantum_period(Q):
     W = P
     t = t_cl
     while t <= bound:
-        s = (np.trace(W[0]) + np.trace(W[1])) / N
+        s = sum(np.trace(w) for w in W) / N
         if abs(abs(s) - 1.0) <= 1e-8 and all(_scalar_distance(w, s) <= 1e-8 for w in W):
             return {"period": t, "phase": complex(s / abs(s)), "classical_period": t_cl}
         W = [w @ p for w, p in zip(W, P)]
@@ -567,6 +673,7 @@ def eigensystem(Q):
 def smooth_half_cutoff(N, width=0.1):
     """Partition of unity (p, 1-p): cosine-ramped plateau of half the torus
     centered at x = 0, ramp width as given, 0 < width <= 1/4."""
+    check_integer("N", N)
     if not 0 < width <= 0.25:
         raise ValueError(f"need 0 < width <= 1/4: width={width!r}")
     x = np.arange(N) / N

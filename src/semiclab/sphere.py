@@ -279,7 +279,9 @@ def band_compression(V, l):
     M = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
     for d in range(-min(LV, 2 * l), min(LV, 2 * l) + 1):
         i = np.arange(max(d, 0), 2 * l + 1 + min(d, 0))  # rows m with |m - d| <= l
-        M[i, i - d] = 2.0 * math.pi * ((w * g[:, LV + d]) @ (rows[:, i] * rows[:, i - d]))
+        # einsum sums the nodes in a fixed order, where a BLAS product's
+        # order, and so its last bits, follows the thread count
+        M[i, i - d] = 2.0 * math.pi * np.einsum("x,xm->m", w * g[:, LV + d], rows[:, i] * rows[:, i - d])
     return 0.5 * (M + M.conj().T)
 
 

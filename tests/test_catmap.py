@@ -149,7 +149,7 @@ FOLD_WORD = (("S", 3), J, J, ("S", -1), J, J, J, J, ("S", 2), J, J, J, J, J, ("S
 def test_compiled_word_matches_generator_product(cat, word, n_steps):
     word = catmap._decompose(cat.matrix()) if word is None else word
     rng = np.random.default_rng(11)
-    for N in list(range(1, 65)) + [504]:
+    for N in list(range(1, 65)) + [105, 120, 420, 504]:
         Q = types.SimpleNamespace(N=N, word=word, steps=catmap._compile_word(word, N))
         assert len(Q.steps) == n_steps
         X = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
@@ -158,11 +158,13 @@ def test_compiled_word_matches_generator_product(cat, word, n_steps):
         ref = _generator_product(word, N, X)
         assert np.abs(Y - ref).max() < 1e-12, N
         assert np.array_equal(catmap.apply_propagator(Q, X[1]), Y[1]), N
-        # the word's product on the two parity blocks, which quantum_period
-        # powers, against the fold of the dense generator product
+        # the word's product on the dilation blocks, which quantum_period
+        # powers, against the dense generator product on an explicit basis
         blocks = catmap.QuantizedCatMap.blocks.func(Q)
-        for got, want in zip(blocks, _parity_fold(_generator_product(word, N, np.eye(N)).T)):
-            assert np.abs(got - want).max(initial=0.0) < 1e-12, N
+        want = _dilation_fold(_generator_product(word, N, np.eye(N)).T)
+        assert [len(b) for b in blocks] == [len(w) for w in want], N
+        for got, ref in zip(blocks, want):
+            assert np.abs(got - ref).max(initial=0.0) < 1e-12, N
 
 
 def _brute_period(Amat, N):
@@ -320,6 +322,61 @@ def _parity_fold(M):
     return c[:, None] * even * c, 0.5 * (odd.take(k, axis=1) - odd.take(N - k, axis=1))
 
 
+def _dilation_group(N):
+    # slow reference: the residues mod N of the odd x with x^2 = 1 mod 2N
+    return sorted({x % N for x in range(1, 2 * N, 2) if x * x % (2 * N) == 1})
+
+
+def _character_basis(N):
+    # slow reference: an orthonormal basis of each joint eigenspace of the
+    # dilations, entry by entry. The characters are labelled as in
+    # catmap._dilations, whose element h_b is the product of the generators
+    # set in b: chi(h_b) = (-1)^popcount(b & c) and chi(-x) = parity chi(x).
+    # Parity +1 first, then characters c in order, then orbit minima j.
+    h = catmap._dilations(N).tolist()
+    bases = []
+    for parity in (1, -1):
+        for c in range(len(h)):
+            cols = []
+            for j in range(N):
+                if j != min(x * j % N for x in _dilation_group(N)):
+                    continue
+                col = np.zeros(N)
+                for b, x in enumerate(h):
+                    chi = (-1) ** bin(b & c).count("1")
+                    col[x * j % N] += chi
+                    col[-x * j % N] += parity * chi
+                if np.linalg.norm(col) > 0.5:
+                    cols.append(col / np.linalg.norm(col))
+            if cols:
+                bases.append(np.array(cols).T)
+    return bases
+
+
+def _dilation_fold(M):
+    # slow reference: V^T M V on each basis of _character_basis
+    return [V.T @ M @ V for V in _character_basis(len(M))]
+
+
+@pytest.mark.parametrize("N, order", [(15, 4), (24, 4), (105, 8), (120, 8), (420, 16), (504, 8)])
+def test_dilation_blocks_match_an_explicit_basis(N, order):
+    group = _dilation_group(N)
+    assert len(group) == order
+    # the elements h_b and their negatives are the group, each once
+    h = catmap._dilations(N)
+    assert sorted(np.concatenate([h, -h % N]).tolist()) == group
+    S = np.hstack(_character_basis(N))
+    assert S.shape == (N, N) and np.abs(S.T @ S - np.eye(N)).max() < 1e-14, N
+    for cat in (A, catmap.CatMap(5, 2, 2, 1), catmap.CatMap(3, 1, 2, 1)):
+        Q = catmap.QuantizedCatMap(cat, N)
+        assert sum(len(B) for B in Q.blocks) == N
+        for x in group:
+            # the dilation j -> xj mod N as a permutation matrix
+            D = np.zeros((N, N))
+            D[x * np.arange(N) % N, np.arange(N)] = 1.0
+            assert np.abs(D @ Q.U - Q.U @ D).max() < 1e-12, (N, x)
+
+
 def test_parity_blocks_match_an_explicit_basis():
     rng = np.random.default_rng(17)
     for N in (1, 2, 3, 4, 7, 8, 21):
@@ -358,6 +415,17 @@ def test_parity_mixing_propagator_raises(monkeypatch):
     with pytest.raises(NumericalSignal, match="parity-mixing"):
         catmap.quantum_period(catmap.QuantizedCatMap(A, N))
 
+    # even under the parity, but not under the dilation j -> 8j mod 21,
+    # which maps 2 to 16
+    def dilation_mixing_shear(N, c):
+        d = shear(N, c)
+        d[[2, N - 2]] += 1e-9
+        return d
+
+    monkeypatch.setattr(catmap, "_shear_diag", dilation_mixing_shear)
+    with pytest.raises(NumericalSignal, match="parity-mixing"):
+        catmap.quantum_period(catmap.QuantizedCatMap(A, N))
+
 
 def _assert_fourier_blocks_bitwise(N):
     # the fold of the DFT's distinct products against the row-then-column
@@ -380,14 +448,16 @@ def test_fourier_is_bitwise_the_elementwise_formula(N):
 def test_fourier_blocks_build_no_full_size_array():
     # the blocks take the DFT's three quarter grids, never the N x N DFT: a
     # build that gathers it from an (N - 1)^2 table and folds it with
-    # full-size temporaries peaks at about 11 MB at N = 512
-    tracemalloc.start()
-    try:
-        catmap.QuantizedCatMap(A, 512).blocks
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6, peak
+    # full-size temporaries peaks at about 11 MB at N = 512. At 504 and 510,
+    # whose dilation groups have order 8, the character fold runs too.
+    for N in (512, 504, 510):
+        tracemalloc.start()
+        try:
+            catmap.QuantizedCatMap(A, N).blocks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (N, peak)
     for N in list(range(1, 65)) + [127, 128, 255, 256, 511, 512]:
         _assert_fourier_blocks_bitwise(N)
 
@@ -431,7 +501,7 @@ def test_quantum_period_builds_no_dense_matrix(monkeypatch):
 
 def test_dense_u_and_partitions_need_no_parity_blocks(monkeypatch):
     # U is the compiled word applied to the identity; only quantum_period
-    # reads the parity blocks
+    # reads the blocks
     def no_blocks(N):
         raise AssertionError("parity blocks built")
 

@@ -243,6 +243,11 @@ def test_integer_arguments_checked_where_they_enter():
         (lambda: lattice.count_in_ball(3.0, 2.5), "n=2.5"),
         (lambda: lattice.count_in_ball(3.0, True), "n=True"),
         (lambda: spectra.SpectrumModel("torus-n", 2.5), "dimension=2.5"),
+        (lambda: catmap.classical_period_mod(A, 5.5), "N=5.5"),
+        (lambda: catmap.smooth_half_cutoff(10.5), "N=10.5"),
+        (lambda: catmap.translation_operator(2.5, (1, 0)), "N=2.5"),
+        (lambda: catmap.translation_operator(5, (1.0, 0)), "m1=1.0"),
+        (lambda: catmap.translation_operator(5, (1, False)), "m2=False"),
     ]
     for call, named in cases:
         with pytest.raises(ValueError, match=f"must be an integer: {named}"):

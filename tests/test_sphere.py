@@ -1,6 +1,10 @@
 """Spherical harmonics, equatorial concentration, and the geodesic Radon picture."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +232,31 @@ def test_band_compression_rejects_malformed_block():
     V = [np.zeros(1, dtype=complex), np.zeros(2, dtype=complex)]
     with pytest.raises(ValueError, match="wrong length"):
         sphere.band_compression(V, 3)
+
+
+_BAND_BITS = """
+import hashlib
+import numpy as np
+from semiclab import sphere
+rng = np.random.default_rng(5)
+V = [rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1) for k in range(7)]
+for W in (sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4), V):
+    print(hashlib.sha256(sphere.band_compression(W, 80).tobytes()).hexdigest())
+"""
+
+
+def test_band_compression_bits_do_not_follow_the_blas_thread_count():
+    # the per-diagonal sums take a fixed order, so one and two BLAS threads
+    # give the same bits, for the zonal V of sphere-weinstein and a generic V
+    src = pathlib.Path(sphere.__file__).parent.parent
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _BAND_BITS], capture_output=True,
+                             text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout.split())
+    assert len(out[0]) == 2 and out[0] == out[1]
 
 
 def test_zonal_from_polynomial_round_trip():
