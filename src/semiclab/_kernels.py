@@ -5,10 +5,10 @@ of a grid of cells at least eps wide and filters them step by step, and
 `l4_moment_sums` evaluates the same-midpoint chord identity in O(s) per
 state. `_gaussian_window` is the one truncation of the periodized Gaussian
 exp(-pi (n - c)^2 / N), cut at exp(-40): `catmap._coherent_array` folds it
-onto Z/N, and `husimi_grid` forms each grid row's overlaps on it, with the
-exact aliased norm. `_ginibre` is the one complex Gaussian fill, and `_haar_unitary`, the
-one Haar draw on U(d), takes its QR behind the random torus-shell bases and
-the trials of `sphere.concentration_experiment`.
+onto Z/N, and `husimi_grid` forms each grid row's overlaps on it by one FFT,
+with the exact aliased norm. `_ginibre` is the one complex Gaussian fill,
+and `_haar_unitary`, the one Haar draw on U(d), takes its QR behind the
+random torus-shell bases and the trials of `sphere.concentration_experiment`.
 """
 
 import math
@@ -131,9 +131,11 @@ def husimi_grid(state, G):
     """|<coherent(x_a, xi_b) | state>|^2 on cell centers; rows index x.
 
     Row a sees only its Gaussian window about c_a = N x_a: an (G, L) gather
-    Psi[a, i] = g_a(n) state[n mod N] over the window's sites n. The overlap
-    is then (Psi @ E)[a, b] with E[i, b] = exp(-2 pi i xi_b i), up to a phase
-    of modulus one. The squared norm of the unwrapped coherent state is
+    Psi[a, i] = g_a(n) state[n mod N] over the window's sites n. Up to a
+    phase of modulus one, the overlap is sum_i Psi[a, i] e^{-2 pi i xi_b i}
+    with xi_b = (b + 1/2) / G: the sites take the phase e^{-pi i i / G}, are
+    folded mod G and go through one length-G FFT, whose bits follow no BLAS
+    thread count. The squared norm of the unwrapped coherent state is
 
         sum_k e^{2 pi i N k xi_b} sum_n g_a(n) g_a(n + kN),
 
@@ -143,7 +145,8 @@ def husimi_grid(state, G):
     grid = (np.arange(G) + 0.5) / G
     n, g = _gaussian_window(N, N * grid)                             # (G, L)
     L = n.shape[1]
-    ovl = (g * state[n % N]) @ np.exp(-2j * math.pi * np.outer(np.arange(L), grid))
+    Psi = g * state[n % N] * np.exp(-1j * math.pi / G * np.arange(L))
+    ovl = np.fft.fft(np.pad(Psi, ((0, 0), (0, -L % G))).reshape(G, -1, G).sum(axis=1))
     ks = np.arange(-((L - 1) // N), (L - 1) // N + 1)
     C = np.stack([(g[:, : L - abs(k) * N] * g[:, abs(k) * N :]).sum(axis=1) for k in ks], axis=1)
     # C[:, k] = C[:, -k], so the k and -k phases pair into a cosine

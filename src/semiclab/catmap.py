@@ -73,11 +73,9 @@ class QuantizedCatMap:
     word: tuple = field(init=False)
 
     def __post_init__(self):
-        check_integer("N", self.N)
+        check_integer("N", self.N, 1)
         if not self.cat.is_hyperbolic():
             raise NumericalSignal("non-hyperbolic", f"trace {self.cat.trace}")
-        if self.N < 1:
-            raise ValueError("need N >= 1")
         word = _decompose(self.cat.matrix())
         if _word_matrix(word) != self.cat.matrix():
             raise NumericalSignal("no-period", "generator word does not reproduce the map")
@@ -150,9 +148,7 @@ class TorusPhaseState:
 
 def translation_operator(N, m):
     """Weyl-Heisenberg translation T(m) in the position basis."""
-    check_integer("N", N)
-    if N < 1:
-        raise ValueError("need N >= 1")
+    check_integer("N", N, 1)
     m1, m2 = m
     check_integer("m1", m1)
     check_integer("m2", m2)
@@ -389,9 +385,7 @@ def apply_propagator(Q, v):
 
 def classical_period_mod(A, N):
     """Smallest t >= 1 with A^t = I mod N, by exact integer powers."""
-    check_integer("N", N)
-    if N < 1:
-        raise ValueError("need N >= 1")
+    check_integer("N", N, 1)
     if N == 1:
         return 1
     a, b, c, d = A.a % N, A.b % N, A.c % N, A.d % N
@@ -555,14 +549,14 @@ def scarred_state(A, N):
 def husimi(s, grid):
     """Coherent-state overlap density |<coherent(x, xi)|s>|^2 on a grid
     of cell centers, normalized so that sum / G^2 = 1."""
-    if grid < 8:
-        raise ValueError("need grid >= 8")
+    check_integer("grid", grid, 8)
     return _kernels.husimi_grid(np.asarray(s.amplitudes, complex), grid)
 
 
 def ball_masks(G, centers, radius):
     """(k, G, G) boolean masks of the G x G grid cells, centers at (i+1/2)/G,
     inside the torus-metric ball of the given radius about each of k centers."""
+    check_integer("G", G, 1)
     if not radius >= 0:
         raise ValueError(f"need radius >= 0: radius={radius!r}")
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
@@ -673,16 +667,12 @@ def eigensystem(Q):
 def smooth_half_cutoff(N, width=0.1):
     """Partition of unity (p, 1-p): cosine-ramped plateau of half the torus
     centered at x = 0, ramp width as given, 0 < width <= 1/4."""
-    check_integer("N", N)
+    check_integer("N", N, 1)
     if not 0 < width <= 0.25:
         raise ValueError(f"need 0 < width <= 1/4: width={width!r}")
     x = np.arange(N) / N
-
-    def step(u):
-        return np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, 0.5 * (1 - np.cos(np.pi * np.clip(u, 0, 1)))))
-
-    d = np.minimum(np.abs(x), 1.0 - np.abs(x))
-    p0 = 1.0 - step((d - (0.25 - width)) / width)
+    u = (np.minimum(x, 1.0 - x) - (0.25 - width)) / width
+    p0 = 1.0 - 0.5 * (1 - np.cos(np.pi * np.clip(u, 0, 1)))
     return p0, 1.0 - p0
 
 
@@ -692,7 +682,8 @@ def partition_product_norm(Q, partition, word):
     if len(word) < 1:
         raise ValueError("need a nonempty word")
     for a in word:
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < len(partition):
+        check_integer("word entry", a, 0)
+        if a >= len(partition):
             raise ValueError(f"word entry {a!r} is not a cutoff index in range({len(partition)})")
     parts = [np.asarray(p, dtype=float) for p in partition]
     total = np.zeros(Q.N)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from semiclab import _kernels
-from semiclab._errors import NumericalSignal
+from semiclab._errors import NumericalSignal, check_integer
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class PeriodicOrbit:
 
 
 def uniform_measure(n_points, seed):
-    if n_points < 1:
-        raise ValueError(f"need n_points >= 1: n_points={n_points!r}")
+    check_integer("n_points", n_points, 1)
     rng = np.random.default_rng(seed)
     return EmpiricalMeasure(rng.uniform(0.0, 1.0, (n_points, 2)), np.full(n_points, 1.0 / n_points))
 
@@ -79,10 +78,8 @@ def ks_entropy_estimate(mu, A, epsilon, T, n_bases=256):
         raise ValueError("need at least 10^3 sample points")
     if not 0 < epsilon < 0.25:
         raise ValueError("need epsilon in (0, 1/4)")
-    if T < 2:
-        raise ValueError("need T >= 2")
-    if n_bases < 1:
-        raise ValueError(f"need n_bases >= 1: n_bases={n_bases!r}")
+    check_integer("T", T, 2)
+    check_integer("n_bases", n_bases, 1)
     cum = np.cumsum(mu.weights)
     marks = (np.arange(n_bases) + 0.5) / n_bases
     base_idx = np.searchsorted(cum, marks).astype(np.int64)

@@ -53,10 +53,8 @@ def _shell_vectors(m, n):
 
 def enumerate_shell(m, n):
     """Exhaustive shell of squared radius m in Z^n, lexicographically sorted."""
-    check_integer("m", m)
-    check_integer("n", n)
-    if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
+    check_integer("m", m, 0)
+    check_integer("n", n, 1)
     return LatticeShell(n, m, tuple(sorted(_shell_vectors(m, n))))
 
 
@@ -66,8 +64,7 @@ def shells_2d(M):
     The vectors of all shells come from one sieve pass; the LatticeShells
     are built one at a time as the returned iterator is consumed.
     """
-    if M < 0:
-        raise ValueError("need M >= 0")
+    check_integer("M", M, 0)
     r = math.isqrt(M)
     axis = np.arange(-r, r + 1, dtype=np.int64)
     norms = axis[:, None] ** 2 + axis[None, :] ** 2
@@ -99,7 +96,7 @@ def _count_leq(s, n):
 
 def count_in_ball(R, n):
     """Exact number of integer vectors with |v| <= R (R real, compared exactly)."""
-    check_integer("n", n)
+    check_integer("n", n, 1)
     if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"need finite R >= 0: R={R!r}")
     # Fraction(R) is exact for float input, so the boundary |v|^2 = R^2 is

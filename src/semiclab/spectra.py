@@ -19,11 +19,9 @@ class SpectrumModel:
     def __post_init__(self):
         if self.tag not in ("torus-n", "sphere-2"):
             raise ValueError(f"unknown model tag {self.tag!r}")
-        check_integer("dimension", self.dimension)
+        check_integer("dimension", self.dimension, 1)
         if self.tag == "sphere-2" and self.dimension != 2:
             raise ValueError("sphere-2 is two-dimensional")
-        if self.dimension < 1:
-            raise ValueError("need dimension >= 1")
 
 
 def counting_function(model, lam):

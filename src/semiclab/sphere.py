@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiclab import _kernels
-from semiclab._errors import NumericalSignal
+from semiclab._errors import NumericalSignal, check_integer
 
 FOUR_PI = 4.0 * math.pi
 _RADON_GRID = 2001
@@ -96,7 +96,7 @@ def evaluate_coefficients(coeffs, theta, phi):
 def equator_concentration(l, a):
     """integral a(cos theta) |psi_l^hw|^2 dVol for polynomial a (coefficient
     list, constant term first), by the exact moment recurrence."""
-    a = list(a)
+    check_integer("l", l, 0)
     total = 0.0
     for i, coef in enumerate(a):
         if coef == 0 or i % 2 == 1:
@@ -111,6 +111,7 @@ def equator_concentration(l, a):
 def reproducing_kernel_diags(L):
     """sum_m |Y_lm|^2 at 20 fixed random points, for l = 0..L, from one
     Legendre table; each is constant (2l+1)/(4pi)."""
+    check_integer("L", L, 0)
     rng = np.random.default_rng(314159)
     x = rng.uniform(-1.0, 1.0, 20)
     phi = rng.uniform(0.0, 2.0 * math.pi, 20)
@@ -132,8 +133,7 @@ def concentration_experiment(l, a, trials, seed):
     Returns a summary record with the per-trial sups, their median, and the
     fraction exceeding l^{-1/8}.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    check_integer("trials", trials, 1)
     a = list(a)
     mean = sum(c / (i + 1.0) for i, c in enumerate(a) if i % 2 == 0)
     if abs(mean) > 1e-12 * max(1.0, max(abs(c) for c in a)):
@@ -233,18 +233,16 @@ def radon_flow(V, gamma0, t):
 
 
 def block_slices(L):
-    """Index ranges of the degree blocks in the stacked space up to L."""
-    out = []
-    start = 0
-    for l in range(L + 1):
-        out.append(slice(start, start + 2 * l + 1))
-        start += 2 * l + 1
-    return out
+    """Index ranges of the degree blocks in the stacked space up to L: the
+    2l + 1 places of degree l follow the l^2 of the degrees below."""
+    check_integer("L", L, 0)
+    return [slice(l * l, (l + 1) ** 2) for l in range(L + 1)]
 
 
 def quantum_average(B, L):
     """Conjugation average over the periodic quantum flow: exact projection
     onto the block-diagonal part of the harmonic decomposition up to L."""
+    check_integer("L", L, 0)
     B = np.asarray(B)
     D = (L + 1) ** 2
     if B.shape != (D, D):
@@ -260,8 +258,7 @@ def band_compression(V, l):
     Gauss-Legendre rule of l + deg V // 2 + 8 nodes in cos(theta); the
     integrand is a polynomial of degree <= 2l + deg V, so the rule is exact
     up to roundoff."""
-    if l < 1:
-        raise ValueError("need l >= 1")
+    check_integer("l", l, 1)
     # <Y_lm, V Y_lm'> = 2pi int g_{m-m'}(x) Theta_lm(x) Theta_lm'(x) dx, where
     # g_d = sum_k V_k[d] Theta_kd is the e^{id phi} mode of V; n nodes are
     # exact once 2n - 1 >= 2l + deg V
@@ -337,6 +334,7 @@ def hausdorff_to_interval(points, lo, hi):
 
 def zonal_from_polynomial(a, L):
     """Spherical-harmonic coefficient list of a polynomial in cos(theta)."""
+    check_integer("L", L, 0)
     a = np.asarray(list(a), dtype=float)
     deg = len(a) - 1
     x, w = np.polynomial.legendre.leggauss(max(L, deg) + 2)

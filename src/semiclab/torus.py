@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiclab import _kernels
-from semiclab._errors import NumericalSignal
+from semiclab._errors import NumericalSignal, check_integer
 from semiclab.lattice import LatticeShell, count_in_ball
 
 TWO_PI = 2.0 * math.pi
@@ -74,8 +74,7 @@ def random_eigenfunction(shell, seed):
     """Normalized eigenfunction with iid complex-Gaussian shell amplitudes."""
     if len(shell) == 0:
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
-    if shell.radius_squared < 1:
-        raise ValueError("need radius_squared >= 1")
+    check_integer("radius_squared", shell.radius_squared, 1)
     c = _kernels._ginibre(np.random.default_rng(seed), len(shell))
     c /= TWO_PI ** (shell.dimension / 2) * np.linalg.norm(c)
     return TorusEigenfunction(shell, c)
@@ -104,13 +103,18 @@ def l4_batch(shell, n_states, seed):
         raise NumericalSignal("unsupported-dimension", "l4_batch needs n = 2")
     if len(shell) == 0:
         raise NumericalSignal("empty-shell", f"shell m={shell.radius_squared}")
-    if n_states < 1:
-        raise ValueError("need n_states >= 1")
+    check_integer("n_states", n_states, 1)
     C = _kernels._ginibre(np.random.default_rng(seed), (n_states, len(shell)))
     # S is homogeneous of degree 4, so for the normalized states
     # C / (2pi sqrt(X)) the integral (2pi)^2 S becomes S / (2pi X)^2
     S, X = _kernels.l4_moment_sums(C)
     return S / (TWO_PI * X) ** 2
+
+
+def _check_momenta(a, n):
+    for p in a.terms:
+        if len(p) != n:
+            raise ValueError(f"symbol momentum {p} has length {len(p)}, not the dimension {n} of the eigenfunctions")
 
 
 def wigner(psi, a):
@@ -124,6 +128,7 @@ def wigner(psi, a):
     c = psi.amplitudes
     hbar = psi.hbar
     n = psi.dimension
+    _check_momenta(a, n)
     total = 0.0 + 0.0j
     for p, prof in a.terms.items():
         half = np.asarray(p, dtype=float) / 2.0
@@ -155,6 +160,7 @@ def quantum_variance(basis, a):
     if not basis:
         raise ValueError("empty basis")
     n = basis[0].dimension
+    _check_momenta(a, n)
     by_shell = {}
     for psi in basis:
         by_shell.setdefault(psi.shell.radius_squared, []).append(psi)

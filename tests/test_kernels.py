@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from semiclab import _kernels, catmap, dynamics, experiments, lattice, sphere, torus
+from blas_threads import stdout_at_one_and_two_threads
 from slow_references import density_moment
 
 A = catmap.CatMap(2, 1, 1, 1)
@@ -354,6 +355,21 @@ def _husimi_bank(N, G):
 def _husimi_oracle(bank, states, G):
     raw = (np.abs(bank @ states) ** 2).T.reshape(-1, G, G)
     return raw / (raw.sum(axis=(1, 2), keepdims=True) / G**2)
+
+
+_HUSIMI_BITS = """
+import hashlib
+from semiclab import _kernels, catmap
+state = catmap.scarred_state(catmap.CatMap(2, 1, 1, 1), 504).amplitudes
+print(hashlib.sha256(_kernels.husimi_grid(state, 64).tobytes()).hexdigest())
+"""
+
+
+def test_husimi_grid_bits_do_not_follow_the_blas_thread_count():
+    # each row's overlaps are one FFT of its folded window, where a BLAS
+    # product's summation order, and so its last bits, follows the thread count
+    one, two = stdout_at_one_and_two_threads(_HUSIMI_BITS)
+    assert len(one.split()) == 1 and one == two
 
 
 def test_husimi_grid_numpy_against_coherent_bank():

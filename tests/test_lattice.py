@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from semiclab import catmap, experiments, lattice, spectra
+from semiclab import catmap, dynamics, experiments, lattice, spectra, sphere, torus
 from semiclab._errors import NumericalSignal
 from slow_references import pair_degeneracy
 
@@ -235,6 +236,48 @@ def test_integer_arguments_checked_where_they_enter():
     # a float used to pass the determinant check and fail later as no-period,
     # fail inside numpy, or recurse until RecursionError; True counted as n = 1
     A = catmap.CatMap(2, 1, 1, 1)
+    state = catmap.TorusPhaseState(np.eye(5)[0].astype(complex))
+    Q = catmap.propagator(A, 8)
+    parts = catmap.smooth_half_cutoff(8)
+    shell = lattice.enumerate_shell(25, 2)
+    mu = dynamics.uniform_measure(1000, 1)
+    V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
+    # (call of the argument, its name, its lower bound); below the bound some
+    # returned empty or wrong values, and count_in_ball recursed without end
+    bounded = [
+        (lambda n: lattice.count_in_ball(2.0, n), "n", 1),
+        (lambda m: lattice.enumerate_shell(m, 2), "m", 0),
+        (lambda n: lattice.enumerate_shell(5, n), "n", 1),
+        (lambda M: lattice.shells_2d(M), "M", 0),
+        (lambda N: catmap.QuantizedCatMap(A, N), "N", 1),
+        (lambda N: catmap.translation_operator(N, (1, 0)), "N", 1),
+        (lambda N: catmap.classical_period_mod(A, N), "N", 1),
+        (lambda N: catmap.smooth_half_cutoff(N), "N", 1),
+        (lambda G: catmap.husimi(state, G), "grid", 8),
+        (lambda G: catmap.ball_masks(G, [(0.0, 0.0)], 0.1), "G", 1),
+        (lambda a: catmap.partition_product_norm(Q, parts, [0, a]), "word entry", 0),
+        (lambda d: spectra.SpectrumModel("torus-n", d), "dimension", 1),
+        (lambda k: torus.l4_batch(shell, k, 1), "n_states", 1),
+        (lambda k: dynamics.uniform_measure(k, 1), "n_points", 1),
+        (lambda T: dynamics.ks_entropy_estimate(mu, A, 0.05, T), "T", 2),
+        (lambda k: dynamics.ks_entropy_estimate(mu, A, 0.05, 2, n_bases=k), "n_bases", 1),
+        (lambda l: sphere.equator_concentration(l, [0.0, 0.0, 1.0]), "l", 0),
+        (lambda L: sphere.reproducing_kernel_diags(L), "L", 0),
+        (lambda L: sphere.block_slices(L), "L", 0),
+        (lambda L: sphere.quantum_average(np.eye(1), L), "L", 0),
+        (lambda l: sphere.band_compression(V, l), "l", 1),
+        (lambda L: sphere.zonal_from_polynomial([0.0, 0.0, 1.0], L), "L", 0),
+        (lambda l: sphere.concentration_experiment(l, [-1.0 / 3.0, 0.0, 1.0], 1, 1), "l", 1),
+        (lambda k: sphere.concentration_experiment(2, [-1.0 / 3.0, 0.0, 1.0], k, 1), "trials", 1),
+    ]
+    for call, name, lo in bounded:
+        for text, bad in ((f"{name} must be an integer", True),
+                          (f"{name} must be an integer", float(lo)),
+                          (f"need {name} >= {lo}", lo - 1)):
+            with pytest.raises(ValueError, match=re.escape(f"{text}: {name}={bad!r}")):
+                call(bad)
+        call(lo)
+        call(np.int64(lo))
     cases = [
         (lambda: catmap.CatMap(0.5, 0, 0, 2), "a=0.5"),
         (lambda: catmap.QuantizedCatMap(A, 55.0), "N=55.0"),

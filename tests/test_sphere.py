@@ -1,10 +1,6 @@
 """Spherical harmonics, equatorial concentration, and the geodesic Radon picture."""
 
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,6 +8,7 @@ import scipy.special
 
 from semiclab import sphere
 from semiclab._errors import NumericalSignal
+from blas_threads import stdout_at_one_and_two_threads
 from slow_references import alpha_cos2, laplacian_diagonal
 
 FOUR_PI = 4.0 * math.pi
@@ -248,14 +245,7 @@ for W in (sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 4), V):
 def test_band_compression_bits_do_not_follow_the_blas_thread_count():
     # the per-diagonal sums take a fixed order, so one and two BLAS threads
     # give the same bits, for the zonal V of sphere-weinstein and a generic V
-    src = pathlib.Path(sphere.__file__).parent.parent
-    out = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-        run = subprocess.run([sys.executable, "-c", _BAND_BITS], capture_output=True,
-                             text=True, env=env)
-        assert run.returncode == 0, run.stderr
-        out.append(run.stdout.split())
+    out = [run.split() for run in stdout_at_one_and_two_threads(_BAND_BITS)]
     assert len(out[0]) == 2 and out[0] == out[1]
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,18 @@ def test_quantum_variance_guards():
     ]
     with pytest.raises(NumericalSignal, match="non-orthonormal-basis"):
         torus.quantum_variance(bad, torus.cosine_symbol((1, 1)))
+
+
+def test_symbol_momenta_must_have_the_eigenfunction_dimension():
+    # a 3-vector key on a 2-D shell used to give 0j or a broadcast error
+    psi = torus.random_eigenfunction(shell25(), 5)
+    basis = [b for m in (1, 2) for b in torus.random_shell_basis(lattice.enumerate_shell(m, 2), m)]
+    for p in ((9, 9, 9), (1, 3, 7), (1, 0, 0)):
+        a = torus.TorusSymbol({(0, 1): 0.5, p: 1.0})
+        with pytest.raises(ValueError, match=re.escape(f"momentum {p} has length 3, not the dimension 2")):
+            torus.wigner(psi, a)
+        with pytest.raises(ValueError, match=re.escape(f"momentum {p} has length 3, not the dimension 2")):
+            torus.quantum_variance(basis, a)
 
 
 def test_evaluate_on_grid_parseval():
