@@ -434,17 +434,19 @@ def quantum_period(Q):
     """
     N = Q.N
     t_cl = classical_period_mod(Q.cat, N)
-    bound = 4 * classical_period_mod(Q.cat, 2 * N)
     P = [np.linalg.matrix_power(B, t_cl) for B in Q.blocks]
     W = P
-    t = t_cl
-    while t <= bound:
+    for t in itertools.count(t_cl, t_cl):
         s = sum(np.trace(w) for w in W) / N
         if abs(abs(s) - 1.0) <= 1e-8 and all(_scalar_distance(w, s) <= 1e-8 for w in W):
             return {"period": t, "phase": complex(s / abs(s)), "classical_period": t_cl}
+        if t == t_cl:
+            # t_cl divides the classical period mod 2N, so the first
+            # candidate is within the bound and the bound waits until here
+            bound = 4 * classical_period_mod(Q.cat, 2 * N)
+        if t + t_cl > bound:
+            raise NumericalSignal("period-not-found", f"N={N}: no scalar power below {bound}")
         W = [w @ p for w, p in zip(W, P)]
-        t += t_cl
-    raise NumericalSignal("period-not-found", f"N={N}: no scalar power below {bound}")
 
 
 def _coherent_array(N, x0, xi0):
@@ -560,6 +562,8 @@ def ball_masks(G, centers, radius):
     if not radius >= 0:
         raise ValueError(f"need radius >= 0: radius={radius!r}")
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    if not np.isfinite(c).all():
+        raise ValueError(f"need finite centers: centers={centers!r}")
     g = (np.arange(G) + 0.5) / G
     # one center at a time: no float64 (k, G, G) distance stack
     out = np.empty((len(c), G, G), dtype=bool)
@@ -578,60 +582,25 @@ def mass_in_ball(H, center, radius):
     return float((H * ball_masks(G, [center], radius)[0]).sum() / (G * G))
 
 
-def _tie_groups(values):
-    # runs of consecutive sorted values whose neighbouring gaps are below 1e-8
-    return np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) >= 1e-8) + 1)
+def eigenspaces(Q):
+    """Eigenspaces of the propagator, as (phase, V) pairs sorted by angle.
 
+    V is an orthonormal N x s block whose columns span the eigenspace, and
+    phase is the normalized mean of its eigenvalues; the block sizes sum to
+    N. Only what does not depend on the basis inside a block is defined:
+    projectors V V^H, traces and Frobenius norms.
 
-def _key_basis(B, keys):
-    # orthonormal basis of span(B), as coefficients on B's columns, that
-    # diagonalizes the compression of keys[0]; ties are broken by keys[1:]
-    lam, S = np.linalg.eigh(B.conj().T @ (keys[0][:, None] * B))
-    for g in _tie_groups(lam):
-        if len(g) > 1:
-            if len(keys) == 1:
-                raise NumericalSignal(
-                    "diagonalization-failure",
-                    f"N={B.shape[0]}: a {len(g)}-dimensional degenerate eigenspace "
-                    "is not separated by the position keys",
-                )
-            S[:, g] = S[:, g] @ _key_basis(B @ S[:, g], keys[1:])
-    return S
+    Angles are taken in (-pi, pi], and an angle within 1e-8 of +-pi is
+    pinned to pi, with its eigenvalue set to exactly -1; every other angle
+    then lies above -pi + 1e-8, so no eigenspace wraps around the branch
+    cut. Neighbouring sorted angles closer than 1e-8 belong to one
+    eigenspace.
 
-
-def eigensystem(Q):
-    """Full spectral decomposition of the propagator, sorted by eigenphase.
-
-    Eigenphases are taken in (-pi, pi]. An eigenvalue within 1e-8 of -1 in
-    angle is returned as exactly -1 and sorted last, so the branch cut of the
-    angle does not decide its place.
-
-    Eigenvalues closer than 1e-8 in angle form a degenerate cluster. Its basis
-    is fixed by two position observables, in this order:
-
-    1. the left-half cutoff 1[x < 1/2]: the basis diagonalizes its
-       compression to the cluster, ordered by ascending expectation;
-    2. cos(2 pi x), used inside any set of those vectors whose cutoff
-       expectations lie closer than 1e-8, ordered the same way.
-
-    The second key is needed because the propagator commutes with parity
-    psi(j) -> psi(-j), and on parity-odd vectors the cutoff compresses to
-    exactly 1/2 times the identity; cos(2 pi x) is even under x -> -x, so it
-    separates vectors of one parity. If a gap below 1e-8 remains after both
-    keys, NumericalSignal("diagonalization-failure") is raised instead of
-    returning a basis chosen by rounding.
-
-    The basis is built from one numpy.linalg.eig of U: the eigenvectors,
-    sorted by eigenphase, are orthonormalized by one QR, which leaves each
-    vector in its own eigenspace since a unitary's eigenspaces are
-    orthogonal. A residual max|U V - V diag(phases)| above 1e-8 after the QR
-    raises NumericalSignal("diagonalization-failure"), as does a failed
-    orthonormality check. The keys then pick the basis inside each cluster.
-
-    Each vector's phase makes its leading component real and positive. The
-    leading component is the one of smallest index whose modulus is within
-    1e-10 of the largest modulus, since parity-odd vectors have
-    |v(j)| = |v(N - j)|.
+    The blocks come from one numpy.linalg.eig of U: the eigenvectors,
+    sorted by angle, are orthonormalized by one QR, which leaves each vector
+    in its own eigenspace since a unitary's eigenspaces are orthogonal. A
+    failed orthonormality check, or a residual max|U V - phase V| above 1e-8
+    over the blocks, raises NumericalSignal("diagonalization-failure").
     """
     N = Q.N
     try:
@@ -640,8 +609,6 @@ def eigensystem(Q):
         raise NumericalSignal("diagonalization-failure", str(exc))
     ph = lam / np.abs(lam)
     angs = np.angle(ph)
-    # with -1 pinned at angle pi every other angle lies above -pi + 1e-8, so
-    # no degenerate cluster wraps around the branch cut
     at_minus_one = np.abs(angs) >= math.pi - 1e-8
     ph[at_minus_one] = -1.0
     angs[at_minus_one] = math.pi
@@ -649,19 +616,13 @@ def eigensystem(Q):
     ph, angs = ph[order], angs[order]
     V = np.linalg.qr(Z[:, order])[0]
     if float(np.abs(V.conj().T @ V - np.eye(N)).max()) > 1e-8:
-        raise NumericalSignal("diagonalization-failure", "eigenbasis not orthonormal")
-    residual = float(np.abs(Q.U @ V - V * ph).max())
+        raise NumericalSignal("diagonalization-failure", "eigenvectors not orthonormal")
+    groups = np.split(np.arange(N), np.flatnonzero(np.diff(angs) >= 1e-8) + 1)
+    phases = [complex(m / abs(m)) for m in (ph[g].mean() for g in groups)]
+    residual = float(np.abs(Q.U @ V - V * np.repeat(phases, [len(g) for g in groups])).max())
     if residual > 1e-8:
         raise NumericalSignal("diagonalization-failure", f"eigen-residual {residual:.2e}")
-    x = np.arange(N) / N
-    keys = ((x < 0.5).astype(float), np.cos(2.0 * math.pi * x))
-    for idx in _tie_groups(angs):
-        if len(idx) > 1:
-            V[:, idx] = V[:, idx] @ _key_basis(V[:, idx], keys)
-    mod = np.abs(V)
-    lead = V[np.argmax(mod >= mod.max(axis=0) - 1e-10, axis=0), np.arange(N)]
-    V = V * (lead.conj() / np.abs(lead)) / np.linalg.norm(V, axis=0)
-    return [(complex(ph[i]), TorusPhaseState(V[:, i].copy())) for i in range(N)]
+    return [(phase, V[:, g]) for phase, g in zip(phases, groups)]
 
 
 def smooth_half_cutoff(N, width=0.1):

@@ -499,6 +499,15 @@ def test_quantum_period_builds_no_dense_matrix(monkeypatch):
     assert catmap.quantum_period(catmap.QuantizedCatMap(A, 504))["period"] == 24
 
 
+def test_quantum_period_not_found_names_its_bound():
+    # no power of diag(e^{ik}) is scalar, so every candidate up to
+    # 4 * classical_period_mod(A, 2N) is tried and refused
+    Q = types.SimpleNamespace(cat=A, N=5, blocks=(np.diag(np.exp(1j * np.arange(5))),))
+    bound = 4 * catmap.classical_period_mod(A, 10)
+    with pytest.raises(NumericalSignal, match=f"period-not-found.*below {bound}$"):
+        catmap.quantum_period(Q)
+
+
 def test_dense_u_and_partitions_need_no_parity_blocks(monkeypatch):
     # U is the compiled word applied to the identity; only quantum_period
     # reads the blocks
@@ -562,6 +571,14 @@ def test_ball_masks_match_one_center_at_a_time():
     for radius in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="radius"):
             catmap.ball_masks(64, centers, radius)
+    # a non-finite center is refused, not given an empty mask
+    for bad in ((float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 0.5)):
+        with pytest.raises(ValueError, match="centers"):
+            catmap.ball_masks(8, [bad], 0.1)
+        with pytest.raises(ValueError, match="centers"):
+            catmap.ball_masks(64, np.vstack([centers, bad]), 0.3)
+        with pytest.raises(ValueError, match="centers"):
+            catmap.mass_in_ball(np.ones((8, 8)), bad, 0.1)
 
 
 def test_ball_masks_peak_memory():
@@ -695,88 +712,128 @@ def test_frozen_quantum_periods_large():
         assert abs(abs(phase) - 1.0) < 1e-8
 
 
-def test_eigensystem_properties():
+def _projector(V):
+    return V @ V.conj().T
+
+
+def test_eigenspaces_properties():
     N = 89
     Q = catmap.propagator(A, N)
-    pairs = catmap.eigensystem(Q)
-    assert len(pairs) == N
+    pairs = catmap.eigenspaces(Q)
+    assert sum(V.shape[1] for _, V in pairs) == N
     phases = np.array([lam for lam, _ in pairs])
     assert np.abs(np.abs(phases) - 1.0).max() < 1e-12
-    assert np.all(np.diff(np.angle(phases)) >= 0.0)
-    V = np.stack([s.amplitudes for _, s in pairs], axis=1)
+    assert np.all(np.diff(np.angle(phases)) > 0.0)
+    V = np.hstack([V for _, V in pairs])
     assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-12
-    assert np.abs(Q.U @ V - V * phases[None, :]).max() < 1e-12
-    assert np.abs(V @ V.conj().T - np.eye(N)).max() < 1e-12
-    again = catmap.eigensystem(Q)
-    for (l1, s1), (l2, s2) in zip(pairs, again):
-        assert l1 == l2 and np.array_equal(s1.amplitudes, s2.amplitudes)
+    for lam, Vr in pairs:
+        assert np.abs(Q.U @ Vr - lam * Vr).max() < 1e-12
+    assert np.abs(sum(lam * _projector(Vr) for lam, Vr in pairs) - Q.U).max() < 1e-12
+    again = catmap.eigenspaces(Q)
+    assert len(again) == len(pairs)
+    for (l1, V1), (l2, V2) in zip(pairs, again):
+        assert l1 == l2 and np.array_equal(V1, V2)
 
 
-def test_eigensystem_independent_of_propagator_rounding():
+def test_eigenspaces_independent_of_propagator_rounding():
     # U from the compiled word and the dense generator product differ only
-    # by rounding, so the returned eigenbasis must agree column by column;
-    # N=101 and N=401 have an eigenvalue at -1, and at N=401 every degenerate
-    # cluster has a single parity, which the half cutoff alone cannot split
+    # by rounding, so the phases, block sizes and projectors must agree;
+    # N=101 and N=401 have an eigenspace at -1
     for N in (101, 211, 401):
         Q = catmap.propagator(A, N)
         U2 = _generator_product(Q.word, N, np.eye(N)).T
         assert np.abs(U2 - Q.U).max() < 1e-12
-        dense = catmap.eigensystem(Q)
-        free = catmap.eigensystem(types.SimpleNamespace(N=N, U=U2))
-        for (l1, s1), (l2, s2) in zip(dense, free):
+        dense = catmap.eigenspaces(Q)
+        free = catmap.eigenspaces(types.SimpleNamespace(N=N, U=U2))
+        assert [V.shape[1] for _, V in dense] == [V.shape[1] for _, V in free]
+        for (l1, V1), (l2, V2) in zip(dense, free):
             assert abs(l1 - l2) < 1e-10
-            assert np.abs(s1.amplitudes - s2.amplitudes).max() < 1e-10
+            assert np.abs(_projector(V1) - _projector(V2)).max() < 1e-10
 
 
-def test_eigensystem_unseparated_cluster_raises():
-    # eigenvalue -1 on span{e0+e4, e2+e6}: both vectors have half-cutoff
-    # expectation 1/2 and cos(2 pi x) expectation 0, with no cross terms
+def _unitary_with(angles, seed=0):
+    # V diag(e^{i angles}) V^H for a Haar V, and the columns of V
+    V = catmap._kernels._haar_unitary(np.random.default_rng(seed), len(angles))
+    U = (V * np.exp(1j * np.asarray(angles))) @ V.conj().T
+    return types.SimpleNamespace(N=len(angles), U=U), V
+
+
+def test_eigenspace_clusters_follow_the_1e_8_rule():
+    # -1 twice, on span{e0+e4, e2+e6}: one eigenspace at exactly -1
     N = 8
     e = np.eye(N)
     vecs = [e[0] + e[4], e[2] + e[6], e[0] - e[4], e[2] - e[6], e[1], e[3], e[5], e[7]]
     V = np.stack(vecs, axis=1) / np.linalg.norm(vecs, axis=1)
     lam = np.exp(1j * np.array([math.pi, math.pi, 0.1, 0.5, 0.9, 1.3, 1.7, 2.1]))
     Q = types.SimpleNamespace(N=N, U=V @ np.diag(lam) @ V.conj().T)
-    with pytest.raises(NumericalSignal, match="diagonalization-failure"):
-        catmap.eigensystem(Q)
+    pairs = catmap.eigenspaces(Q)
+    assert [Vr.shape[1] for _, Vr in pairs] == [1] * 6 + [2]
+    assert pairs[-1][0] == -1.0
+    assert np.abs(_projector(pairs[-1][1]) - _projector(V[:, :2])).max() < 1e-12
+    # neighbouring eigenphases 5e-9 apart form one eigenspace, 2e-8 apart two
+    for gap, sizes in ((5e-9, [1, 2, 1, 1]), (2e-8, [1, 1, 1, 1, 1])):
+        Q, V = _unitary_with([-2.0, 0.3, 0.3 + gap, 1.0, 2.0])
+        pairs = catmap.eigenspaces(Q)
+        assert [Vr.shape[1] for _, Vr in pairs] == sizes, gap
+        if gap < 1e-8:
+            assert abs(pairs[1][0] - np.exp(1j * (0.3 + gap / 2))) < 1e-12
+            assert np.abs(_projector(pairs[1][1]) - _projector(V[:, 1:3])).max() < 1e-10
+    # a pair on both sides of the branch cut is one eigenspace at -1
+    Q, V = _unitary_with([math.pi - 1e-9, -2.0, -math.pi + 1e-9, 1.0])
+    pairs = catmap.eigenspaces(Q)
+    assert [Vr.shape[1] for _, Vr in pairs] == [1, 1, 2]
+    assert pairs[-1][0] == -1.0
+    assert np.abs(_projector(pairs[-1][1]) - _projector(V[:, [0, 2]])).max() < 1e-10
 
 
-def test_eigensystem_failure_set_small_n():
-    # the two position keys leave a degenerate eigenspace unseparated at
-    # exactly these N <= 64; every other N gets a clean eigenbasis
-    failing = set()
-    for N in range(2, 65):
+def test_eigenspaces_decompose_with_no_signal():
+    # among these are all 15 N <= 512 where position keys chosen inside the
+    # degenerate eigenspaces could not pick a basis
+    for N in list(range(2, 65)) + [65, 80, 85, 88, 90, 96, 105, 120, 128, 256, 512]:
         Q = catmap.propagator(A, N)
-        try:
-            pairs = catmap.eigensystem(Q)
-        except NumericalSignal as exc:
-            assert exc.signal == "diagonalization-failure"
-            failing.add(N)
-            continue
-        phases = np.array([lam for lam, _ in pairs])
-        V = np.stack([s.amplitudes for _, s in pairs], axis=1)
-        assert np.abs(Q.U @ V - V * phases[None, :]).max() < 1e-12, N
-        assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-12, N
-    assert failing == {16, 32, 60, 64}
+        pairs = catmap.eigenspaces(Q)
+        V = np.hstack([Vr for _, Vr in pairs])
+        assert max(np.abs(Q.U @ Vr - lam * Vr).max() for lam, Vr in pairs) <= 1e-12, N
+        assert np.abs(V.conj().T @ V - np.eye(N)).max() <= 1e-12, N
+        assert np.abs(sum(lam * _projector(Vr) for lam, Vr in pairs) - Q.U).max() <= 1e-12, N
 
 
-def test_eigenbasis_cell_sup_regression():
-    # largest cell-averaged phase-space mass over the full eigenbasis; the
-    # scarred values sit well below 1 and shrink from N=101 to N=401
-    frozen = {101: 0.12858861822373732, 211: 0.0747855347767411, 401: 0.1246534684320628}
+def test_eigenspace_phases_match_the_quantum_period():
+    # U^T is the scalar `phase`, so every eigenphase's T-th power is that
+    # scalar, and no proper divisor T/p makes all eigenphases' powers equal
+    for N in list(range(2, 65)) + [127, 128]:
+        Q = catmap.propagator(A, N)
+        rec = catmap.quantum_period(Q)
+        T, phase = rec["period"], rec["phase"]
+        lam = np.array([phase_r for phase_r, _ in catmap.eigenspaces(Q)])
+        assert np.abs(lam ** T - phase).max() <= 1e-8, N
+        for p in _prime_factors(T):
+            w = lam ** (T // p)
+            assert np.abs(w[:, None] - w[None, :]).max() > 1e-8, (N, p)
+
+
+def test_eigenspace_cell_sup_regression():
+    # largest mass <c, P_r c> = |V_r^H c|^2 of a normalized cell-centre
+    # coherent state c in an eigenspace; it takes no basis inside a block,
+    # so rotating every block by a Haar unitary leaves it in place
+    frozen = {101: 0.21936659343922, 211: 0.21795040319537, 401: 0.14322712142577}
+    rng = np.random.default_rng(17)
     sups = {}
     for N, expect in frozen.items():
-        Q = catmap.propagator(A, N)
-        V = np.stack([s.amplitudes for _, s in catmap.eigensystem(Q)], axis=1)
+        pairs = catmap.eigenspaces(catmap.propagator(A, N))
         G = math.isqrt(N - 1) + 1
         bank = np.empty((G * G, N), dtype=complex)
         for ix in range(G):
             for ixi in range(G):
                 bank[ix * G + ixi] = catmap._coherent_array(N, (ix + 0.5) / G, (ixi + 0.5) / G)
-        Hall = np.abs(bank.conj() @ V) ** 2
-        Hall /= Hall.sum(axis=0, keepdims=True) / (G * G)
-        sups[N] = Hall.max() / (G * G)
+
+        def sup(blocks):
+            return max(float((np.abs(bank.conj() @ V) ** 2).sum(axis=1).max()) for V in blocks)
+
+        sups[N] = sup(V for _, V in pairs)
         assert abs(sups[N] - expect) < 1e-6
+        rotated = (V @ catmap._kernels._haar_unitary(rng, V.shape[1]) for _, V in pairs)
+        assert abs(sup(rotated) - sups[N]) <= 1e-12
     assert sups[401] < sups[101]
 
 

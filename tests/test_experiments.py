@@ -226,8 +226,8 @@ import semiclab
 for info in pkgutil.iter_modules(semiclab.__path__):
     importlib.import_module("semiclab." + info.name)
 from semiclab import catmap, sphere
-pairs = catmap.eigensystem(catmap.propagator(catmap.CatMap(2, 1, 1, 1), 21))
-assert len(pairs) == 21
+pairs = catmap.eigenspaces(catmap.propagator(catmap.CatMap(2, 1, 1, 1), 21))
+assert sum(V.shape[1] for _, V in pairs) == 21
 V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
 g = sphere.radon_flow(V, sphere.GeodesicPoint(np.array([0.8, 0.0, 0.6])), 0.5)
 assert abs(g.u[2] - 0.6) < 1e-8
