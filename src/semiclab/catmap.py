@@ -561,9 +561,9 @@ def ball_masks(G, centers, radius):
     check_integer("G", G, 1)
     if not radius >= 0:
         raise ValueError(f"need radius >= 0: radius={radius!r}")
-    c = np.asarray(centers, dtype=float).reshape(-1, 2)
-    if not np.isfinite(c).all():
-        raise ValueError(f"need finite centers: centers={centers!r}")
+    c = np.asarray(centers, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 2 or not np.isfinite(c).all():
+        raise ValueError(f"need finite centers of shape (k, 2): centers={centers!r}")
     g = (np.arange(G) + 0.5) / G
     # one center at a time: no float64 (k, G, G) distance stack
     out = np.empty((len(c), G, G), dtype=bool)

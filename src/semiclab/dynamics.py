@@ -40,14 +40,6 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
-    """One full period of a cat-map orbit, points as exact rationals."""
-
-    cat: object
-    points: tuple
-
-
 def uniform_measure(n_points, seed):
     check_integer("n_points", n_points, 1)
     rng = np.random.default_rng(seed)
@@ -90,13 +82,13 @@ def ks_entropy_estimate(mu, A, epsilon, T, n_bases=256):
     return float(rates.mean())
 
 
-def pressure_periodic_orbit(gamma, s):
-    """Topological pressure of one orbit: s times the negative orbit-averaged
-    unstable expansion rate (constant chi for linear cat maps)."""
+def pressure_periodic_orbit(A, points, s):
+    """Topological pressure of one full period of A, points as exact
+    rationals: s times the negative orbit-averaged unstable expansion rate
+    (constant chi for linear cat maps)."""
     if not 0 <= s <= 1:
         raise ValueError("need s in [0, 1]")
-    A = gamma.cat
-    pts = [tuple(Fraction(c) for c in p) for p in gamma.points]
+    pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise NumericalSignal("non-periodic", "empty orbit")
     # the exact image of each point must be the next one
@@ -111,8 +103,16 @@ def bowen_root(pressure_fn):
 
     Bisects until the bracket is at most 1e-9 wide: 2^-30, after at most
     30 exact halvings."""
-    p0 = pressure_fn(0.0)
-    p1 = pressure_fn(1.0)
+
+    def pressure(s):
+        # every comparison with NaN is false, so bisection would go on blind
+        v = pressure_fn(s)
+        if np.isnan(v):
+            raise NumericalSignal("nan-pressure", f"s={s}: P(s)={v}")
+        return v
+
+    p0 = pressure(0.0)
+    p1 = pressure(1.0)
     if p0 < 0 or p1 > 0:
         raise NumericalSignal("no-sign-change", f"P(0)={p0}, P(1)={p1}")
     if p0 == 0.0:
@@ -122,7 +122,7 @@ def bowen_root(pressure_fn):
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        v = pressure_fn(mid)
+        v = pressure(mid)
         if v == 0.0:
             return mid
         if v > 0:

@@ -69,7 +69,8 @@ def _shells(max_m):
 
 def _map_on_cores(fn, items):
     """[fn(x) for x in items], run on this thread and one helper thread per
-    further core the process may use.
+    further core the process may use (per further core of the machine where
+    os.sched_getaffinity is not defined, as on Windows and macOS).
 
     Every thread takes the next item from the one iterator under a lock, so
     no thread holds more than one item and items are drawn lazily, and it
@@ -97,9 +98,11 @@ def _map_on_cores(fn, items):
             with lock:
                 errors.append(exc)
 
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     helpers = []
     try:
-        for _ in range(len(os.sched_getaffinity(0)) - 1):
+        for _ in range(cores - 1):
             t = threading.Thread(target=drain, name="semiclab-helper")
             t.start()
             helpers.append(t)
@@ -490,15 +493,13 @@ def _run_entropy(cfg):
 
 
 def _run_pressure(cfg):
-    from fractions import Fraction
-
     A = standard_map()
     chi = A.lyapunov_exponent()
-    orbit = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),))
-    p_half = dynamics.pressure_periodic_orbit(orbit, 0.5)
+    orbit = ((0, 0),)  # the fixed point at the origin
+    p_half = dynamics.pressure_periodic_orbit(A, orbit, 0.5)
     fp_err = abs(p_half - (-chi / 2.0))
     root_orbit = dynamics.bowen_root(
-        lambda s: dynamics.pressure_periodic_orbit(orbit, s)
+        lambda s: dynamics.pressure_periodic_orbit(A, orbit, s)
     )
     root_shifted = dynamics.bowen_root(lambda s: chi - s * chi)
     root_mid = dynamics.bowen_root(lambda s: 0.5 - s)

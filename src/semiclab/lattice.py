@@ -118,6 +118,10 @@ def arc_counts(shell, centers, half):
     ang = np.sort(np.arctan2(v[:, 1], v[:, 0]))
     s = len(ang)
     centers = np.asarray(centers, dtype=float)
+    if not half >= 0:  # NaN fails every comparison below
+        raise ValueError(f"need half >= 0: half={half!r}")
+    if not np.isfinite(centers).all():
+        raise ValueError(f"need finite centers: centers={centers!r}")
     # The window holds the sorted angles in (-pi, pi], tiled again at +2pi,
     # within half + 1e-9 of the center reduced to [0, 2pi]; each point's
     # nearest copy to such a center lies in one of the two tiles. The test

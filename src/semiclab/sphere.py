@@ -8,7 +8,6 @@ Oriented great circles are identified with their unit normal.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,23 +16,6 @@ from semiclab._errors import NumericalSignal, check_integer
 
 FOUR_PI = 4.0 * math.pi
 _RADON_GRID = 2001
-
-
-@dataclass(frozen=True)
-class GeodesicPoint:
-    """Oriented great circle, stored as its unit normal."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.u, dtype=float)
-        if v.shape != (3,):
-            raise ValueError("normal must be a 3-vector")
-        if not np.isfinite(v).all():
-            raise ValueError("normal must be finite")
-        if abs(float(np.dot(v, v)) - 1.0) > 1e-12:
-            raise ValueError("normal must be a unit vector")
-        object.__setattr__(self, "u", v)
 
 
 def _norm_legendre(L, x):
@@ -184,32 +166,40 @@ def _radon_at_normals(V, u):
     return _radon_at(V, theta, np.arctan2(u[:, 1], u[:, 0]))
 
 
-def radon_flow(V, gamma0, t):
+def radon_flow(V, u, t):
     """Hamiltonian flow of the Radon average on the space of geodesics.
 
     The space of oriented great circles is the unit sphere of normals with
     the area symplectic form; the flow is u' = grad R(V) x u with the
     0-homogeneous extension of R(V), its gradient taken by central
-    differences. It is integrated by classical RK4 on n equal steps, from
-    n = 16 and doubling n until two successive runs agree to 1e-10 in max
-    norm; NumericalSignal("step-failure") is raised if n passes 2**16.
+    differences. The rows of the (n, 3) array u flow together into a new
+    array (u itself at t = 0), by classical RK4 on equal steps, from 16
+    steps and doubling until two successive runs agree to 1e-10 in max
+    norm; NumericalSignal("step-failure") is raised past 2**16 steps.
     """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 3 or len(u) == 0:
+        raise ValueError(f"normals must have shape (n, 3), n >= 1: shape={u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("normals must be finite")
+    if np.abs(np.einsum("ij,ij->i", u, u) - 1.0).max() > 1e-12:
+        raise ValueError("normals must be unit vectors")
     if not math.isfinite(t):
         raise ValueError(f"need finite t: t={t!r}")
     if t == 0:
-        return gamma0
+        return u
     h = 1e-5
-    # central differences: rows v + h e_i, then v - h e_i
+    # central differences: for each row v, rows v + h e_i, then v - h e_i
     stencil = np.vstack([h * np.eye(3), -h * np.eye(3)])
 
     def rhs(v):
-        R = _radon_at_normals(V, v + stencil)
-        g = (R[:3] - R[3:]) / (2.0 * h)
+        R = _radon_at_normals(V, (v[:, None, :] + stencil).reshape(-1, 3)).reshape(-1, 6)
+        g = (R[:, :3] - R[:, 3:]) / (2.0 * h)
         return np.cross(g, v)
 
     def rk4(n):
         dt = t / n
-        v = np.asarray(gamma0.u, dtype=float)
+        v = u
         for _ in range(n):
             k1 = rhs(v)
             k2 = rhs(v + 0.5 * dt * k1)
@@ -226,10 +216,11 @@ def radon_flow(V, gamma0, t):
         prev, v = v, rk4(n)
         if float(np.abs(v - prev).max()) <= 1e-10:
             break
-    drift = abs(float(np.linalg.norm(v)) - 1.0)
+    norms = np.linalg.norm(v, axis=1)
+    drift = float(np.abs(norms - 1.0).max())
     if drift > 1e-8:
         raise NumericalSignal("step-failure", f"sphere constraint drift {drift:.2e}")
-    return GeodesicPoint(v / np.linalg.norm(v))
+    return v / norms[:, None]
 
 
 def block_slices(L):

@@ -147,6 +147,8 @@ def wigner(psi, a):
 def egorov_conjugate(a, t):
     """The symbol a composed with the geodesic flow at time t; flows
     compose by adding their times."""
+    if not math.isfinite(t):
+        raise ValueError(f"need finite t: t={t!r}")
     if t == 0:
         return a
     return TorusSymbol(a.terms, a.t + float(t))

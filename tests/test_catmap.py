@@ -579,6 +579,11 @@ def test_ball_masks_match_one_center_at_a_time():
             catmap.ball_masks(64, np.vstack([centers, bad]), 0.3)
         with pytest.raises(ValueError, match="centers"):
             catmap.mass_in_ball(np.ones((8, 8)), bad, 0.1)
+    # centers come as k pairs: a flat list of 4 once gave two masks, and a
+    # flat list of 3 a numpy reshape error
+    for bad in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError, match="centers"):
+            catmap.ball_masks(8, bad, 0.1)
 
 
 def test_ball_masks_peak_memory():

@@ -153,26 +153,25 @@ def test_check_10_uniform_balls_hold_only_their_base(monkeypatch):
 
 
 def test_pressure_fixed_point():
-    gamma = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),))
-    assert dynamics.pressure_periodic_orbit(gamma, 0.0) == 0.0
-    assert abs(dynamics.pressure_periodic_orbit(gamma, 0.5) - (-0.5 * CHI)) < 1e-14
-    assert abs(dynamics.pressure_periodic_orbit(gamma, 1.0) - (-CHI)) < 1e-14
+    fixed = ((Fraction(0), Fraction(0)),)
+    assert dynamics.pressure_periodic_orbit(A, fixed, 0.0) == 0.0
+    assert abs(dynamics.pressure_periodic_orbit(A, fixed, 0.5) - (-0.5 * CHI)) < 1e-14
+    assert abs(dynamics.pressure_periodic_orbit(A, fixed, 1.0) - (-CHI)) < 1e-14
     with pytest.raises(ValueError, match="s in"):
-        dynamics.pressure_periodic_orbit(gamma, 1.5)
+        dynamics.pressure_periodic_orbit(A, fixed, 1.5)
 
 
 def test_pressure_period_two_orbit():
     orbit = ((Fraction(4, 5), Fraction(3, 5)), (Fraction(1, 5), Fraction(2, 5)))
-    gamma = dynamics.PeriodicOrbit(A, orbit)
-    assert abs(dynamics.pressure_periodic_orbit(gamma, 1.0) - (-CHI)) < 1e-14
+    assert abs(dynamics.pressure_periodic_orbit(A, orbit, 1.0) - (-CHI)) < 1e-14
 
 
 def test_pressure_rejects_non_orbits():
-    bad = dynamics.PeriodicOrbit(A, ((Fraction(1, 2), Fraction(0)),))
+    bad = ((Fraction(1, 2), Fraction(0)),)
     with pytest.raises(NumericalSignal, match="non-periodic"):
-        dynamics.pressure_periodic_orbit(bad, 0.5)
+        dynamics.pressure_periodic_orbit(A, bad, 0.5)
     with pytest.raises(NumericalSignal, match="non-periodic"):
-        dynamics.pressure_periodic_orbit(dynamics.PeriodicOrbit(A, ()), 0.5)
+        dynamics.pressure_periodic_orbit(A, (), 0.5)
 
 
 def test_bowen_root():
@@ -184,12 +183,20 @@ def test_bowen_root():
     assert abs(root - 0.5828802719974318) <= 1e-9
     with pytest.raises(NumericalSignal, match="no-sign-change"):
         dynamics.bowen_root(lambda s: s - 2.0)
+    # every comparison with NaN is false, so a NaN once bisected to 4.66e-10
+    with pytest.raises(NumericalSignal, match=r"nan-pressure: s=0\.0: P\(s\)=nan"):
+        dynamics.bowen_root(lambda s: float("nan"))
+    with pytest.raises(NumericalSignal, match=r"nan-pressure: s=1\.0:"):
+        dynamics.bowen_root(lambda s: float("nan") if s == 1.0 else 1.0)
+    # a NaN at one midpoint only, after two clean halvings
+    with pytest.raises(NumericalSignal, match=r"nan-pressure: s=0\.375:"):
+        dynamics.bowen_root(lambda s: float("nan") if s == 0.375 else 0.3 - s)
 
 
 def test_bowen_root_of_orbit_pressure():
-    gamma = dynamics.PeriodicOrbit(A, ((Fraction(0), Fraction(0)),))
+    fixed = ((Fraction(0), Fraction(0)),)
 
     def shifted(s):
-        return dynamics.pressure_periodic_orbit(gamma, s) + 0.5 * CHI
+        return dynamics.pressure_periodic_orbit(A, fixed, s) + 0.5 * CHI
 
     assert abs(dynamics.bowen_root(shifted) - 0.5) <= 1e-9

@@ -229,8 +229,8 @@ from semiclab import catmap, sphere
 pairs = catmap.eigenspaces(catmap.propagator(catmap.CatMap(2, 1, 1, 1), 21))
 assert sum(V.shape[1] for _, V in pairs) == 21
 V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
-g = sphere.radon_flow(V, sphere.GeodesicPoint(np.array([0.8, 0.0, 0.6])), 0.5)
-assert abs(g.u[2] - 0.6) < 1e-8
+u = sphere.radon_flow(V, np.array([[0.8, 0.0, 0.6]]), 0.5)
+assert abs(u[0, 2] - 0.6) < 1e-8
 print("ok")
 """
 
@@ -383,8 +383,9 @@ def _sweep_files(out_dir):
     return csv_bytes, [line for line in report.splitlines() if "wall_time_s" not in line]
 
 
-def test_l4_sweep_is_bitwise_the_serial_loop_for_any_core_count(monkeypatch, tmp_path):
-    # the direct serial loop: one l4_batch per nonempty shell, in increasing m
+def _serial_rows(tmp_path):
+    # the direct serial loop: one l4_batch per nonempty shell, in increasing
+    # m, its rows written to serial.csv
     seed = experiments.REGISTRY["torus-l4-sweep"].defaults["seed"]
     rows = []
     for shell in lattice.shells_2d(_SMALL_SWEEP["max_m"]):
@@ -393,6 +394,11 @@ def test_l4_sweep_is_bitwise_the_serial_loop_for_any_core_count(monkeypatch, tmp
             vals = torus.l4_batch(shell, _SMALL_SWEEP["states_per_shell"], (seed, m))
             rows.append((m, len(shell), float(vals.max())))
     experiments._write_csv(tmp_path / "serial.csv", ("radius_squared", "shell_size", "max_l4"), rows)
+    return rows
+
+
+def test_l4_sweep_is_bitwise_the_serial_loop_for_any_core_count(monkeypatch, tmp_path):
+    rows = _serial_rows(tmp_path)
     top = max(r[2] for r in rows)
     seen = []
     for cores in (1, 2, 3):
@@ -405,6 +411,28 @@ def test_l4_sweep_is_bitwise_the_serial_loop_for_any_core_count(monkeypatch, tmp
         seen.append(_sweep_files(out_dir))
     assert seen[0][0] == (tmp_path / "serial.csv").read_bytes()
     assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+@pytest.mark.parametrize("cpu_count", [3, None])
+def test_l4_sweep_counts_cores_without_sched_getaffinity(monkeypatch, tmp_path, cpu_count):
+    # Windows and macOS have no os.sched_getaffinity: the sweep then starts
+    # one helper per further core of os.cpu_count(), and none when that is
+    # unknown
+    _serial_rows(tmp_path)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    started = []
+    thread = threading.Thread
+
+    class Counted(thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    experiments.run_experiment("torus-l4-sweep", _SMALL_SWEEP, tmp_path / "out")
+    assert started == ["semiclab-helper"] * ((cpu_count or 1) - 1)
+    assert (tmp_path / "out" / "l4-sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 @pytest.mark.parametrize("where", ["main", "helper"])

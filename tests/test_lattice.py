@@ -145,6 +145,19 @@ def test_arc_lattice_count_full_circle():
     assert lattice.arc_counts(empty, [0.3], 1.0 / math.sqrt(3) / 2)[0] == 0
 
 
+def test_arc_counts_refuse_nan_or_negative_half_and_nonfinite_centers():
+    # each once counted nothing without complaint; an infinite half is the
+    # whole circle
+    shell = lattice.enumerate_shell(25, 2)
+    assert lattice.arc_counts(shell, [0.0, 1.0], math.inf).tolist() == [12, 12]
+    for half in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="half"):
+            lattice.arc_counts(shell, [0.0, 1.0], half)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="centers"):
+            lattice.arc_counts(shell, [0.0, bad], 0.5)
+
+
 def test_arc_lattice_count_tiny_arc():
     # arc centered on the direction of (3, 4)
     shell = lattice.enumerate_shell(25, 2)

@@ -52,16 +52,21 @@ def test_sph_harm_row_orthonormal_quadrature():
     assert np.abs(gram - np.eye(Y.shape[1])).max() < 1e-12
 
 
-def test_geodesic_point_validation():
-    g = sphere.GeodesicPoint(np.array([0.0, 0.0, 1.0]))
-    assert g.u.shape == (3,)
-    with pytest.raises(ValueError):
-        sphere.GeodesicPoint(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        sphere.GeodesicPoint(np.array([0.0, 0.0, 1.5]))
+def test_radon_flow_normal_validation():
+    V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
+    u = np.array([[0.0, 0.0, 1.0]])
+    assert sphere.radon_flow(V, u, 0.5).shape == (1, 3)
+    for shape in ([0.0, 0.0, 1.0], [[0.0, 1.0]], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            sphere.radon_flow(V, shape, 0.5)
+    with pytest.raises(ValueError, match="unit"):
+        sphere.radon_flow(V, [[0.0, 0.0, 1.5]], 0.5)
+    # one bad row among good ones is refused too
+    with pytest.raises(ValueError, match="unit"):
+        sphere.radon_flow(V, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.5]], 0.5)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            sphere.GeodesicPoint(np.array([bad, 0.0, 0.0]))
+            sphere.radon_flow(V, [[bad, 0.0, 0.0]], 0.5)
 
 
 def test_equator_concentration_closed_forms():
@@ -289,7 +294,7 @@ def test_radon_transform_of_zonal_quadratic():
     for _ in range(6):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
-        val = float(sphere._radon_at_normals(V, sphere.GeodesicPoint(u).u[None, :])[0])
+        val = float(sphere._radon_at_normals(V, u[None, :])[0])
         assert abs(val - 0.5 * (1.0 - u[2] ** 2)) < 1e-12
 
 
@@ -303,20 +308,20 @@ def test_radon_flow_preserves_zonal_height():
     # for zonal V the averaged Hamiltonian depends on u3 only, so the flow
     # rotates about the poles and u3 is conserved
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
-    g0 = sphere.GeodesicPoint(np.array([0.8, 0.0, 0.6]))
-    g1 = sphere.radon_flow(V, g0, 2.5)
-    assert abs(np.linalg.norm(g1.u) - 1.0) < 1e-9
-    assert abs(g1.u[2] - 0.6) < 1e-8
-    assert sphere.radon_flow(V, g0, 0) is g0
+    u0 = np.array([[0.8, 0.0, 0.6]])
+    u1 = sphere.radon_flow(V, u0, 2.5)
+    assert abs(np.linalg.norm(u1[0]) - 1.0) < 1e-9
+    assert abs(u1[0, 2] - 0.6) < 1e-8
+    assert sphere.radon_flow(V, u0, 0) is u0
 
 
 def test_radon_flow_rejects_nonfinite_time():
     # a non-finite t would double the RK4 steps up to 2**16 before failing
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
-    g0 = sphere.GeodesicPoint(np.array([0.8, 0.0, 0.6]))
+    u0 = np.array([[0.8, 0.0, 0.6]])
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite t"):
-            sphere.radon_flow(V, g0, t)
+            sphere.radon_flow(V, u0, t)
 
 
 def test_radon_flow_matches_closed_form_rotation():
@@ -324,23 +329,39 @@ def test_radon_flow_matches_closed_form_rotation():
     # turns u about the pole by the angle -u3 t
     V = sphere.zonal_from_polynomial([0.0, 0.0, 1.0], 2)
     for u, t in (((0.8, 0.0, 0.6), 2.5), ((0.0, -0.6, 0.8), 4.0)):
-        g1 = sphere.radon_flow(V, sphere.GeodesicPoint(np.array(u)), t)
+        u1 = sphere.radon_flow(V, np.array([u]), t)
         r, phi0 = math.hypot(u[0], u[1]), math.atan2(u[1], u[0])
         phi = phi0 - u[2] * t
-        assert np.abs(g1.u - [r * math.cos(phi), r * math.sin(phi), u[2]]).max() < 1e-9
+        assert np.abs(u1[0] - [r * math.cos(phi), r * math.sin(phi), u[2]]).max() < 1e-9
+    # 100 normals flowed in one call, both poles and two equator points
+    # among them; the steps double until every row has settled, so a row
+    # flowed alone may stop earlier and differ at roundoff
+    rng = np.random.default_rng(33)
+    u = rng.standard_normal((100, 3))
+    u[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    t = 1.0
+    u1 = sphere.radon_flow(V, u, t)
+    assert u1.shape == u.shape
+    phi = np.arctan2(u[:, 1], u[:, 0]) - u[:, 2] * t
+    r = np.hypot(u[:, 0], u[:, 1])
+    rotated = np.column_stack([r * np.cos(phi), r * np.sin(phi), u[:, 2]])
+    assert np.abs(u1 - rotated).max() < 1e-9
+    for i in (0, 2, 57):
+        assert np.abs(sphere.radon_flow(V, u[i : i + 1], t) - u1[i]).max() < 1e-9
 
 
 def test_radon_flow_conserves_energy():
     # real non-zonal observable: Y_{2,1} - Y_{2,-1}
     V = [np.zeros(1, dtype=complex), np.zeros(3, dtype=complex),
          np.array([0.0, -1.0, 0.0, 1.0, 0.0], dtype=complex)]
-    g0 = sphere.GeodesicPoint(np.array([0.48, 0.6, 0.64]))
-    h0 = float(sphere._radon_at_normals(V, g0.u[None, :])[0])
-    g1 = sphere.radon_flow(V, g0, 1.5)
-    h1 = float(sphere._radon_at_normals(V, g1.u[None, :])[0])
-    assert abs(np.linalg.norm(g1.u) - 1.0) < 1e-9
+    u0 = np.array([[0.48, 0.6, 0.64]])
+    h0 = float(sphere._radon_at_normals(V, u0)[0])
+    u1 = sphere.radon_flow(V, u0, 1.5)
+    h1 = float(sphere._radon_at_normals(V, u1)[0])
+    assert abs(np.linalg.norm(u1[0]) - 1.0) < 1e-9
     assert abs(h1 - h0) < 1e-8
-    assert np.abs(g1.u - g0.u).max() > 1e-3  # the point actually moved
+    assert np.abs(u1 - u0).max() > 1e-3  # the point actually moved
 
 
 def test_band_spectrum_vs_radon_record():
@@ -462,7 +483,7 @@ def test_funk_hecke_against_circle_quadrature():
             u = u / np.linalg.norm(u)
             ref = _radon_value(V, u)
             assert abs(ref.imag) < 1e-13
-            got = float(sphere._radon_at_normals(V, sphere.GeodesicPoint(u).u[None, :])[0])
+            got = float(sphere._radon_at_normals(V, u[None, :])[0])
             assert abs(got - ref.real) < 1e-13, (L, u)
 
 

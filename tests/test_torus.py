@@ -157,6 +157,14 @@ def test_egorov_invariance_is_exact():
     assert torus.egorov_conjugate(sym, 0) is sym
 
 
+def test_egorov_conjugate_rejects_nonfinite_time():
+    # an infinite t once made wigner return nan+nanj
+    sym = torus.TorusSymbol({(0, 0): 1.0 + 0j})
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite t"):
+            torus.egorov_conjugate(sym, t)
+
+
 def test_flow_profile_generic_phase():
     # off-shell pairs of a flowed symbol pick up e^{i t hbar p.mid}: (0, 0)
     # and (1, 0) lie on different circles, so p = (1, 0) has p.mid = 1/2
