@@ -638,8 +638,8 @@ def smooth_half_cutoff(N, width=0.1):
 
 
 def partition_product_norm(Q, partition, word):
-    """Operator norm of pi_{a_{M-1}}(M-1) ... pi_{a_0}(0) with
-    pi_a(t) = U^{-t} diag(partition[a]) U^t."""
+    """List of operator norms: entry k is that of pi_{a_k}(k) ... pi_{a_0}(0),
+    pi_a(t) = U^{-t} diag(partition[a]) U^t, all from one chain of products."""
     if len(word) < 1:
         raise ValueError("need a nonempty word")
     for a in word:
@@ -656,7 +656,8 @@ def partition_product_norm(Q, partition, word):
         total += p
     if float(np.abs(total - 1.0).max()) > 1e-10:
         raise NumericalSignal("bad-partition", "cutoffs do not sum to identity")
-    B = np.diag(parts[word[0]]).astype(complex)
-    for t in range(1, len(word)):
-        B = parts[word[t]][:, None] * (Q.U @ B)
-    return float(np.linalg.svd(B, compute_uv=False)[0])
+    norms = []
+    for k, a in enumerate(word):
+        B = parts[a][:, None] * (Q.U @ B) if k else np.diag(parts[a]).astype(complex)
+        norms.append(float(np.linalg.svd(B, compute_uv=False)[0]))
+    return norms

@@ -120,8 +120,8 @@ def arc_counts(shell, centers, half):
     centers = np.asarray(centers, dtype=float)
     if not half >= 0:  # NaN fails every comparison below
         raise ValueError(f"need half >= 0: half={half!r}")
-    if not np.isfinite(centers).all():
-        raise ValueError(f"need finite centers: centers={centers!r}")
+    if centers.ndim != 1 or not np.isfinite(centers).all():
+        raise ValueError(f"need a 1-D array of finite centers: centers={centers!r}")
     # The window holds the sorted angles in (-pi, pi], tiled again at +2pi,
     # within half + 1e-9 of the center reduced to [0, 2pi]; each point's
     # nearest copy to such a center lies in one of the two tiles. The test

@@ -3,7 +3,7 @@
 Convention (frozen): orthonormal Y_lm with Condon-Shortley phase,
 integral conj(Y_lm) Y_l'm' dVol = delta delta, Vol(S^2) = 4pi.
 Functions on the sphere are passed around as coefficient lists:
-coeffs[l] is a complex vector of length 2l+1 indexed by m = -l..l.
+coeffs[l] is a finite complex vector of length 2l+1 indexed by m = -l..l.
 Oriented great circles are identified with their unit normal.
 """
 
@@ -58,6 +58,15 @@ def _assemble_rows(Pl, phi):
     return rows
 
 
+def _block(l, c):
+    c = np.asarray(c, dtype=complex)
+    if len(c) != 2 * l + 1:
+        raise ValueError(f"coefficient block of degree {l} has wrong length")
+    if not np.isfinite(c).all():
+        raise ValueError(f"coefficient block of degree {l} is not finite")
+    return c
+
+
 def evaluate_coefficients(coeffs, theta, phi):
     """Evaluate a coefficient list (coeffs[l] for m = -l..l) at arrays of points."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -66,9 +75,7 @@ def evaluate_coefficients(coeffs, theta, phi):
     P = _norm_legendre(L, np.cos(theta))
     out = np.zeros(len(theta), dtype=complex)
     for l, c in enumerate(coeffs):
-        c = np.asarray(c, dtype=complex)
-        if len(c) != 2 * l + 1:
-            raise ValueError("coefficient block has wrong length")
+        c = _block(l, c)
         if not np.any(c):
             continue
         out += _assemble_rows(P[:, l, : l + 1], phi) @ c
@@ -154,7 +161,7 @@ def _radon_at(V, theta, phi):
     # P_l(0) Y_lm(u), so the Radon transform of V is the function whose
     # coefficients are P_l(0) V_l, evaluated at the normals (theta, phi)
     p0 = _legendre_at_zero(len(V) - 1)
-    RV = [p0[l] * np.asarray(c, dtype=complex) for l, c in enumerate(V)]
+    RV = [p0[l] * _block(l, c) for l, c in enumerate(V)]
     return evaluate_coefficients(RV, theta, phi).real
 
 
@@ -259,10 +266,7 @@ def band_compression(V, l):
     zero = np.zeros(len(x))
     g = np.zeros((len(x), 2 * LV + 1), dtype=complex)  # column LV + d holds g_d
     for k, c in enumerate(V):
-        c = np.asarray(c, dtype=complex)
-        if len(c) != 2 * k + 1:
-            raise ValueError("coefficient block has wrong length")
-        g[:, LV - k : LV + k + 1] += _assemble_rows(P[:, k, : k + 1], zero).real * c
+        g[:, LV - k : LV + k + 1] += _assemble_rows(P[:, k, : k + 1], zero).real * _block(k, c)
     rows = _assemble_rows(P[:, l, : l + 1], zero).real
     M = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
     for d in range(-min(LV, 2 * l), min(LV, 2 * l) + 1):
@@ -275,10 +279,9 @@ def band_compression(V, l):
 
 def _is_zonal(V):
     for l, c in enumerate(V):
-        c = np.asarray(c, dtype=complex)
         mask = np.ones(2 * l + 1, dtype=bool)
         mask[l] = False
-        if np.abs(c[mask]).max(initial=0.0) > 1e-14:
+        if np.abs(_block(l, c)[mask]).max(initial=0.0) > 1e-14:
             return False
     return True
 

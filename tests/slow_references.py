@@ -5,8 +5,9 @@ Each is the plain formula for a quantity the package computes another way:
 `laplacian_diagonal` for `sphere.quantum_average`, `density_moment`, the
 p-th Fourier coefficient of |psi|^2, for `_kernels.l4_moment_sums`,
 `evaluate_on_grid` for the quadrature that
-checks `torus.exact_l4`, and `pair_degeneracy` for the Jarnik pair scan of
-`lattice-jarnik`.
+checks `torus.exact_l4`, `pair_degeneracy` for the Jarnik pair scan of
+`lattice-jarnik`, and `partition_norm` for the prefix norms of
+`catmap.partition_product_norm`.
 """
 
 import math
@@ -58,3 +59,13 @@ def pair_degeneracy(shell, p):
     members = set(shell.vectors)
     p = tuple(p)
     return sum(1 for k in shell.vectors if tuple(a - b for a, b in zip(k, p)) in members)
+
+
+def partition_norm(U, partition, word):
+    """2-norm of pi_{a_{M-1}}(M-1) ... pi_{a_0}(0), each factor
+    pi_a(t) = U^{-t} diag(partition[a]) U^t built from matrix powers."""
+    product = np.eye(len(U), dtype=complex)
+    for t, a in enumerate(word):
+        Ut = np.linalg.matrix_power(U, t)
+        product = Ut.conj().T @ np.diag(partition[a]) @ Ut @ product
+    return float(np.linalg.norm(product, 2))

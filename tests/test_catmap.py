@@ -10,6 +10,7 @@ import pytest
 
 from semiclab import catmap, experiments
 from semiclab._errors import NumericalSignal
+from slow_references import partition_norm
 
 A = catmap.CatMap(2, 1, 1, 1)
 CHI = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -885,17 +886,31 @@ def test_partition_product_norm_validation():
         with pytest.raises(ValueError, match="word entry"):
             catmap.partition_product_norm(Q, (p0, p1), bad)
     # one cutoff alone is a contraction
-    assert catmap.partition_product_norm(Q, (p0, p1), [0]) <= 1.0 + 1e-12
+    assert catmap.partition_product_norm(Q, (p0, p1), [0])[-1] <= 1.0 + 1e-12
 
 
 def test_partition_product_norm_frozen_triple():
     N = 233
     Q = catmap.propagator(A, N)
     parts = catmap.smooth_half_cutoff(N)
-    n1 = catmap.partition_product_norm(Q, parts, [0, 1, 0])
-    n2 = catmap.partition_product_norm(Q, parts, [1, 0])
-    n12 = catmap.partition_product_norm(Q, parts, [0, 1, 0, 1, 0])
+    n1 = catmap.partition_product_norm(Q, parts, [0, 1, 0])[-1]
+    n2 = catmap.partition_product_norm(Q, parts, [1, 0])[-1]
+    n12 = catmap.partition_product_norm(Q, parts, [0, 1, 0, 1, 0])[-1]
     assert abs(n1 - 0.9999999998738788) < 1e-9
     assert abs(n2 - 1.0000000000000204) < 1e-9
     assert abs(n12 - 0.6875799145486676) < 1e-9
     assert n12 <= n1 * n2 + 1e-9
+
+
+def test_partition_prefix_norms_match_the_plain_product():
+    # entry k against the product of the k + 1 conjugated cutoffs, and bit for
+    # bit against the last entry of a call on that prefix alone
+    N = 233
+    Q = catmap.propagator(A, N)
+    parts = catmap.smooth_half_cutoff(N)
+    for word in ([0] * 11, [0, 1, 0, 1, 0]):
+        norms = catmap.partition_product_norm(Q, parts, word)
+        assert len(norms) == len(word)
+        for k, norm in enumerate(norms):
+            assert abs(norm - partition_norm(Q.U, parts, word[: k + 1])) <= 1e-12, (word, k)
+            assert norm == catmap.partition_product_norm(Q, parts, word[: k + 1])[-1], (word, k)

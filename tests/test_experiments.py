@@ -343,6 +343,22 @@ def test_scar_builds_its_far_masks_once(monkeypatch):
     assert len(experiments._far_centers(0.3)) > 1
 
 
+def test_partition_decay_takes_its_norms_from_three_chains(monkeypatch):
+    # one chain for the decay and two for the triple: 3 calls and 10 + 4 + 1
+    # dense products of U, where one call per prefix made 14 calls and 62
+    words = []
+    norm = catmap.partition_product_norm
+
+    def spy(Q, partition, word):
+        words.append(list(word))
+        return norm(Q, partition, word)
+
+    monkeypatch.setattr(catmap, "partition_product_norm", spy)
+    experiments.run_experiment("partition-decay", {})
+    assert words == [[0] * 11, [0, 1, 0, 1, 0], [1, 0]]
+    assert sum(len(w) - 1 for w in words) == 15
+
+
 def test_scar_far_mass_is_the_largest_single_ball_mass():
     # reference: one mass_in_ball per far center; the one product sums in
     # another order, so equality is to a few ulps of a mass <= 1

@@ -158,6 +158,16 @@ def test_arc_counts_refuse_nan_or_negative_half_and_nonfinite_centers():
             lattice.arc_counts(shell, [0.0, bad], 0.5)
 
 
+def test_arc_counts_take_centers_as_a_1d_array():
+    # a scalar once raised a TypeError and a (1, 2) array a broadcast error
+    shell = lattice.enumerate_shell(25, 2)
+    for bad in (0.3, [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="centers"):
+            lattice.arc_counts(shell, bad, 0.5)
+    assert lattice.arc_counts(shell, [0.0, 1.0, -2.5, 7.0], 0.5).tolist() == [1, 2, 2, 2]
+    assert lattice.arc_counts(shell, np.linspace(-4, 4, 9), 0.3).tolist() == [2, 1, 1, 1, 1, 1, 1, 1, 2]
+
+
 def test_arc_lattice_count_tiny_arc():
     # arc centered on the direction of (3, 4)
     shell = lattice.enumerate_shell(25, 2)

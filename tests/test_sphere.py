@@ -236,6 +236,20 @@ def test_band_compression_rejects_malformed_block():
         sphere.band_compression(V, 3)
 
 
+def test_coefficient_blocks_must_be_finite():
+    # a NaN block once gave a (nan, nan) range, an eigvalsh LinAlgError and a
+    # NaN value, and an inf block evaluated to inf+nanj
+    theta, phi = np.array([0.3, 1.2]), np.array([0.1, 2.0])
+    for bad in (math.nan, math.inf):
+        for V, degree in (([np.array([bad + 0j])], 0),
+                          ([np.zeros(1), np.array([0.0, bad, 0.0])], 1)):
+            for call in (lambda: sphere.radon_range(V),
+                         lambda: sphere.band_compression(V, 2),
+                         lambda: sphere.evaluate_coefficients(V, theta, phi)):
+                with pytest.raises(ValueError, match=f"degree {degree} is not finite"):
+                    call()
+
+
 _BAND_BITS = """
 import hashlib
 import numpy as np
